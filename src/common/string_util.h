@@ -1,13 +1,16 @@
 #ifndef MUBE_COMMON_STRING_UTIL_H_
 #define MUBE_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
+
 /// \file string_util.h
 /// Small string helpers shared by the text-similarity layer (attribute-name
-/// normalization) and the schema (de)serializers.
+/// normalization), the schema (de)serializers and the session-state parser.
 
 namespace mube {
 
@@ -34,6 +37,15 @@ std::string NormalizeAttributeName(std::string_view name);
 
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// Parses all of `token` (leading whitespace aside) as a double. Trailing
+/// junk, an empty token and out-of-range magnitudes are InvalidArgument;
+/// "nan" and "inf" parse, so range checks belong to the caller.
+Status ParseDouble(std::string_view token, double* out);
+
+/// Parses all of `token` as an unsigned decimal integer (no sign, no
+/// whitespace, no trailing junk).
+Status ParseUint64(std::string_view token, uint64_t* out);
 
 }  // namespace mube
 

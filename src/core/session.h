@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/mube.h"
+#include "core/user_state.h"
 #include "dynamic/churn.h"
 #include "dynamic/delta_universe.h"
 #include "dynamic/re_optimizer.h"
@@ -20,10 +21,14 @@
 /// is the programmatic embodiment of that loop (the GUI in the paper's
 /// Figure 4 sits on exactly this surface).
 ///
-/// A session created over a DeltaUniverse additionally rides out source
-/// churn: ApplyChurn(events) mutates the catalog and incrementally
-/// reconciles the engine's caches, and ReIterate() re-optimizes warm from
-/// the previous solution when the churn was small (src/dynamic).
+/// Session is a single-threaded driver over one UserState (core/
+/// user_state.h), which owns the edited state, its validation and the
+/// RunSpec it becomes. Session adds what only a user with a private engine
+/// has: the engine itself, the result history, the per-iteration seed,
+/// cumulative reliability stats and, over a DeltaUniverse, source churn:
+/// ApplyChurn(events) mutates the catalog, reconciles the engine's caches
+/// and prunes the user state, and ReIterate() re-optimizes warm from the
+/// previous solution when the churn was small (src/dynamic).
 
 namespace mube {
 
@@ -46,38 +51,53 @@ class Session {
   /// \name Constraint editing (between iterations)
   /// @{
   /// Requires source `name`/`id` in the solution (a source constraint).
-  Status PinSource(const std::string& name);
-  Status PinSource(uint32_t source_id);
-  Status UnpinSource(uint32_t source_id);
-  /// Adds a GA constraint. Rejects invalid GAs.
-  Status AddGaConstraint(GlobalAttribute ga);
+  Status PinSource(const std::string& name) {
+    return state_.PinSource(mube_->universe(), name);
+  }
+  Status PinSource(uint32_t source_id) {
+    return state_.PinSource(mube_->universe(), source_id);
+  }
+  Status UnpinSource(uint32_t source_id) {
+    return state_.UnpinSource(source_id);
+  }
+  /// Adds a GA constraint. Rejects invalid GAs and GAs over removed
+  /// sources (see UserState::AddGaConstraint).
+  Status AddGaConstraint(GlobalAttribute ga) {
+    return state_.AddGaConstraint(mube_->universe(), std::move(ga));
+  }
   /// Parses "source.attr, source.attr, ..." into a GA constraint.
   Status AddGaConstraintFromText(const std::string& line);
   /// Adopts GA `index` of the last result as a constraint — the one-click
   /// "keep this" gesture of the µBE UI.
   Status AdoptGaFromLastResult(size_t index);
-  void ClearGaConstraints() { ga_constraints_ = MediatedSchema(); }
-  void ClearSourcePins() { pinned_sources_.clear(); }
+  void ClearGaConstraints() { state_.ClearGaConstraints(); }
+  void ClearSourcePins() { state_.ClearSourcePins(); }
   /// @}
 
-  /// \name Problem knobs
+  /// \name Problem knobs (validated by UserState)
   /// @{
-  Status SetWeights(const std::vector<double>& weights);
-  Status SetTheta(double theta);
-  Status SetMaxSources(size_t max_sources);
+  Status SetWeights(const std::vector<double>& weights) {
+    return state_.SetWeights(mube_->config().qefs.size(), weights);
+  }
+  Status SetTheta(double theta) { return state_.SetTheta(theta); }
+  Status SetMaxSources(size_t max_sources) {
+    return state_.SetMaxSources(max_sources);
+  }
   void SetSeed(uint64_t seed) { seed_ = seed; }
-  Status SetOptimizer(const std::string& name);
+  Status SetOptimizer(const std::string& name) {
+    return state_.SetOptimizer(name);
+  }
   /// Weight of the observed-health QEF appended to the quality function
   /// when recorded executions exist (see SourceHealthQef). 0 (the default)
   /// keeps reliability feedback out of selection — health is then only
   /// reported, never optimized for. Must be in [0, 1).
-  Status SetHealthBias(double weight);
-  double health_bias() const { return health_bias_; }
+  Status SetHealthBias(double weight) { return state_.SetHealthBias(weight); }
+  double health_bias() const { return state_.health_bias(); }
   /// @}
 
   /// Runs one µBE iteration with the current constraint state and appends
   /// the result to history().
-  Result<MubeResult> Iterate();
+  Result<MubeResult> Iterate() { return RunAndCommit(BuildRunSpec()); }
 
   /// Runs a portfolio of `attempts` alternative searches under the current
   /// constraint state (see Mube::RunAlternatives) and remembers each
@@ -133,19 +153,16 @@ class Session {
   /// \name Execution health (fed by the reliability layer)
   /// @{
   /// Per-source availability as the session has observed it.
-  struct SourceHealth {
-    size_t scans_ok = 0;
-    size_t scans_failed = 0;
-    size_t short_circuits = 0;
-    /// Last injected fault seen on a failed scan (kNone after a success).
-    FaultKind last_fault = FaultKind::kNone;
-  };
+  using SourceHealth = UserState::SourceHealth;
 
   /// Folds one resilient query execution into the session's cumulative
   /// reliability stats and per-source health map — this is how breaker
   /// trips and degraded answers become visible at the same surface where
   /// the user steers the next iteration (pin a replica, re-weight F4...).
-  void RecordExecution(const ExecutionReport& report);
+  void RecordExecution(const ExecutionReport& report) {
+    reliability_stats_.MergeReport(report);
+    state_.RecordExecution(report);
+  }
 
   /// Cumulative counters over every recorded execution.
   const ReliabilityStats& reliability_stats() const {
@@ -153,14 +170,13 @@ class Session {
   }
   /// Health of each source that has appeared in a recorded execution.
   const std::map<uint32_t, SourceHealth>& source_health() const {
-    return source_health_;
+    return state_.source_health();
   }
-  /// The per-source health scores in [0, 1] the next Iterate() will feed
-  /// the optimizer when health_bias() > 0: successful scans over total
-  /// scans, with short-circuits counted as failures (an open breaker is
-  /// exactly the signal to select around). Sources never executed against
-  /// are absent (treated as healthy).
-  std::map<uint32_t, double> HealthScores() const;
+  /// The per-source health scores (UserState::HealthScores) the next
+  /// Iterate() feeds the optimizer when health_bias() > 0.
+  std::map<uint32_t, double> HealthScores() const {
+    return state_.HealthScores();
+  }
   /// @}
 
   /// All iteration results, oldest first.
@@ -169,9 +185,11 @@ class Session {
   const MubeResult& last_result() const { return history_.back(); }
 
   const std::vector<uint32_t>& pinned_sources() const {
-    return pinned_sources_;
+    return state_.pinned_sources();
   }
-  const MediatedSchema& ga_constraints() const { return ga_constraints_; }
+  const MediatedSchema& ga_constraints() const {
+    return state_.ga_constraints();
+  }
   const Mube& engine() const { return *mube_; }
 
   /// Renders the last result in the editable text format (one GA per line,
@@ -192,21 +210,32 @@ class Session {
   /// blob carries a churn log, this session's applied log must be a prefix
   /// of it; the missing suffix is replayed through ApplyChurn *before*
   /// constraint names are resolved, so pins recorded after churn resolve
-  /// against the catalog they were saved under. Constraint errors leave the
-  /// constraint state unchanged, but churn already replayed stays applied
-  /// (catalog mutations are not undoable). A blob with churn cannot be
-  /// restored into a static-universe session.
+  /// against the catalog they were saved under. Every directive passes the
+  /// same setter as an interactive edit (UserState::RestoreDirectives).
+  /// Constraint errors leave the constraint state and seed unchanged, but
+  /// churn already replayed stays applied (catalog mutations are not
+  /// undoable). A blob with churn cannot be restored into a static-universe
+  /// session.
   Status RestoreState(const std::string& blob);
   /// @}
 
  private:
   explicit Session(std::unique_ptr<Mube> mube) : mube_(std::move(mube)) {}
 
-  /// Drops pins and GA constraints referencing retired sources.
-  void PruneStaleConstraints();
+  /// The user state as a RunSpec. The seed varies across iterations so
+  /// re-running the same problem can escape an unlucky search trajectory,
+  /// while staying reproducible.
+  RunSpec BuildRunSpec() const {
+    return state_.BuildRunSpec(mube_->universe(), seed_ + history_.size());
+  }
 
-  /// Assembles the RunSpec for the current constraint state and knobs.
-  RunSpec BuildRunSpec() const;
+  /// Plans a re-optimization of `incumbent` against the pending churn and
+  /// records the warm/cold decision, budget and churn fraction.
+  ReOptimizePlan PlanReoptimization(const std::vector<uint32_t>& incumbent);
+
+  /// Runs `spec`, appends the result to history and clears the pending
+  /// churn (a committed solve accounts for all catalog changes so far).
+  Result<MubeResult> RunAndCommit(const RunSpec& spec);
 
   /// Resolved session-level metric handles (all null when detached).
   struct SessionMetrics {
@@ -227,17 +256,10 @@ class Session {
   /// first — next call's warm-start incumbents.
   std::vector<std::vector<uint32_t>> alternative_incumbents_;
   SessionMetrics metrics_;
-  std::vector<uint32_t> pinned_sources_;  // sorted
-  MediatedSchema ga_constraints_;
-  std::vector<double> weights_;  // empty = config defaults
-  double theta_ = -1.0;          // <0 = config default
-  size_t max_sources_ = 0;       // 0 = config default
+  UserState state_;
   uint64_t seed_ = 1;
-  std::string optimizer_;      // empty = config default
-  double health_bias_ = 0.0;   // 0 = reliability feedback off
   std::vector<MubeResult> history_;
   ReliabilityStats reliability_stats_;
-  std::map<uint32_t, SourceHealth> source_health_;
 };
 
 }  // namespace mube

@@ -1,6 +1,5 @@
 #include "schema/serialization.h"
 
-#include <charconv>
 #include <cstdio>
 #include <sstream>
 
@@ -13,31 +12,6 @@ namespace {
 bool IsCommentOrBlank(std::string_view line) {
   std::string_view t = Trim(line);
   return t.empty() || t.front() == '#';
-}
-
-Status ParseDouble(std::string_view token, double* out) {
-  // std::from_chars<double> is not universally available; use stod with a
-  // guard.
-  try {
-    size_t consumed = 0;
-    std::string owned(token);
-    *out = std::stod(owned, &consumed);
-    if (consumed != owned.size()) {
-      return Status::InvalidArgument("trailing junk in number: " + owned);
-    }
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("not a number: " + std::string(token));
-  }
-  return Status::OK();
-}
-
-Status ParseUint64(std::string_view token, uint64_t* out) {
-  auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), *out);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
-    return Status::InvalidArgument("not an integer: " + std::string(token));
-  }
-  return Status::OK();
 }
 
 }  // namespace

@@ -611,7 +611,7 @@ ExecuteResponse MubeService::ServeExecute(const Pending& pending,
     breaker_half_opens_->Increment(report.breaker_half_opens);
     breaker_closes_->Increment(report.breaker_closes);
   }
-  // Per-tenant health feedback, exactly as Session::RecordExecution: the
+  // Per-tenant health feedback, the same UserState fold Session uses: the
   // tenant's next biased RunSpec selects around sources it saw failing.
   tenant->RecordExecution(report);
   if (report.outcome != QueryOutcome::kFailed) {

@@ -1,162 +1,6 @@
 #include "serving/tenant.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "opt/optimizer.h"
-
 namespace mube {
-
-Status Tenant::PinSource(const Universe& universe,
-                         const std::string& source_name) {
-  std::optional<uint32_t> sid = universe.FindSource(source_name);
-  if (!sid.has_value()) {
-    return Status::NotFound("no source named '" + source_name + "'");
-  }
-  return PinSource(universe, *sid);
-}
-
-Status Tenant::PinSource(const Universe& universe, uint32_t source_id) {
-  if (source_id >= universe.size()) {
-    return Status::InvalidArgument("source id out of range");
-  }
-  if (!universe.alive(source_id)) {
-    return Status::FailedPrecondition(
-        "source '" + universe.source(source_id).name() +
-        "' has been removed from the universe");
-  }
-  MutexLock lock(&mu_);
-  auto pos = std::lower_bound(pinned_sources_.begin(), pinned_sources_.end(),
-                              source_id);
-  if (pos != pinned_sources_.end() && *pos == source_id) {
-    return Status::AlreadyExists("source already pinned");
-  }
-  pinned_sources_.insert(pos, source_id);
-  return Status::OK();
-}
-
-Status Tenant::UnpinSource(uint32_t source_id) {
-  MutexLock lock(&mu_);
-  auto pos = std::lower_bound(pinned_sources_.begin(), pinned_sources_.end(),
-                              source_id);
-  if (pos == pinned_sources_.end() || *pos != source_id) {
-    return Status::NotFound("source is not pinned");
-  }
-  pinned_sources_.erase(pos);
-  return Status::OK();
-}
-
-Status Tenant::AddGaConstraint(const Universe& universe, GlobalAttribute ga) {
-  if (!ga.IsValid()) {
-    return Status::InvalidArgument("GA constraint is not valid");
-  }
-  for (const AttributeRef& ref : ga.members()) {
-    if (!universe.Contains(ref)) {
-      return Status::InvalidArgument("GA constraint references unknown " +
-                                     ref.ToString());
-    }
-  }
-  MutexLock lock(&mu_);
-  MediatedSchema candidate = ga_constraints_;
-  candidate.Add(std::move(ga));
-  if (!candidate.IsWellFormed()) {
-    return Status::InvalidArgument(
-        "GA constraint overlaps an existing constraint");
-  }
-  ga_constraints_ = std::move(candidate);
-  return Status::OK();
-}
-
-void Tenant::ClearGaConstraints() {
-  MutexLock lock(&mu_);
-  ga_constraints_ = MediatedSchema();
-}
-
-void Tenant::ClearSourcePins() {
-  MutexLock lock(&mu_);
-  pinned_sources_.clear();
-}
-
-std::vector<uint32_t> Tenant::pinned_sources() const {
-  MutexLock lock(&mu_);
-  return pinned_sources_;
-}
-
-Status Tenant::SetWeights(size_t qef_count,
-                          const std::vector<double>& weights) {
-  if (weights.size() != qef_count) {
-    return Status::InvalidArgument("weight count mismatch");
-  }
-  double sum = 0.0;
-  for (double w : weights) {
-    if (w < 0.0 || w > 1.0) {
-      return Status::InvalidArgument("weight out of [0,1]");
-    }
-    sum += w;
-  }
-  if (std::abs(sum - 1.0) > 1e-9) {
-    return Status::InvalidArgument("weights must sum to 1");
-  }
-  MutexLock lock(&mu_);
-  weights_ = weights;
-  return Status::OK();
-}
-
-Status Tenant::SetTheta(double theta) {
-  if (theta < 0.0 || theta > 1.0) {
-    return Status::InvalidArgument("theta must be in [0,1]");
-  }
-  MutexLock lock(&mu_);
-  theta_ = theta;
-  return Status::OK();
-}
-
-Status Tenant::SetMaxSources(size_t max_sources) {
-  if (max_sources == 0) {
-    return Status::InvalidArgument("max_sources must be >= 1");
-  }
-  MutexLock lock(&mu_);
-  max_sources_ = max_sources;
-  return Status::OK();
-}
-
-Status Tenant::SetOptimizer(const std::string& name) {
-  OptimizerOptions probe;
-  MUBE_ASSIGN_OR_RETURN(std::unique_ptr<Optimizer> optimizer,
-                        MakeOptimizer(name, probe));
-  (void)optimizer;
-  MutexLock lock(&mu_);
-  optimizer_ = name;
-  return Status::OK();
-}
-
-Status Tenant::SetHealthBias(double weight) {
-  if (weight < 0.0 || weight >= 1.0) {
-    return Status::InvalidArgument("health bias must be in [0,1)");
-  }
-  MutexLock lock(&mu_);
-  health_bias_ = weight;
-  return Status::OK();
-}
-
-void Tenant::RecordExecution(const ExecutionReport& report) {
-  MutexLock lock(&mu_);
-  for (const SourceScanLog& log : report.scans) {
-    auto& [ok, failed] = scan_counts_[log.source_id];
-    switch (log.status) {
-      case ScanStatus::kOk:
-        ++ok;
-        break;
-      case ScanStatus::kFailed:
-      case ScanStatus::kDeadlineSkipped:
-      case ScanStatus::kShortCircuited:
-        ++failed;
-        break;
-      case ScanStatus::kSkippedCannotAnswer:
-        break;  // not a health signal: the schema, not the source
-    }
-  }
-}
 
 Status Tenant::SetDispatchWeight(size_t weight) {
   if (weight == 0) {
@@ -232,40 +76,6 @@ void Tenant::ObserveServeSeconds(double seconds) {
 double Tenant::ewma_serve_seconds() const {
   MutexLock lock(&mu_);
   return ewma_serve_seconds_;
-}
-
-RunSpec Tenant::BuildRunSpec(const Universe& universe, uint64_t seed) const {
-  MutexLock lock(&mu_);
-  RunSpec spec;
-  // Pins survive churn by id stability; pins on since-retired sources are
-  // shed here (the same pruning Session applies eagerly — a tenant's copy
-  // happens lazily because churn publishes without consulting tenants).
-  for (uint32_t sid : pinned_sources_) {
-    if (universe.alive(sid)) spec.source_constraints.push_back(sid);
-  }
-  for (const GlobalAttribute& ga : ga_constraints_.gas()) {
-    const bool stale =
-        std::any_of(ga.members().begin(), ga.members().end(),
-                    [&](const AttributeRef& ref) {
-                      return !universe.alive(ref.source_id);
-                    });
-    if (!stale) spec.ga_constraints.Add(ga);
-  }
-  if (!weights_.empty()) spec.weights = weights_;
-  if (theta_ >= 0.0) spec.theta = theta_;
-  if (max_sources_ > 0) spec.max_sources = max_sources_;
-  if (!optimizer_.empty()) spec.optimizer = optimizer_;
-  if (health_bias_ > 0.0) {
-    for (const auto& [sid, counts] : scan_counts_) {
-      const size_t total = counts.first + counts.second;
-      if (total == 0) continue;
-      spec.source_health[sid] =
-          static_cast<double>(counts.first) / static_cast<double>(total);
-    }
-    spec.health_weight = health_bias_;
-  }
-  spec.seed = seed;
-  return spec;
 }
 
 }  // namespace mube

@@ -66,6 +66,13 @@ class SimilaritySource {
   /// ascending j order. Complete only for theta >= neighbor_floor();
   /// below the floor the sparse index cannot enumerate (its rows simply
   /// do not hold sub-floor pairs).
+  ///
+  /// Cost is per implementation and not bounded by the number of
+  /// callbacks: the dense matrix reads the whole row, O(attribute_count())
+  /// per call at any theta; the sparse index walks only row i's stored
+  /// neighbors. Neighbors anywhere in the universe are reported, so a
+  /// caller interested in a subset (the Matcher's S) pays for and
+  /// discards the rest.
   virtual void ForEachNeighborAtLeast(size_t i, double theta,
                                       const NeighborFn& fn) const = 0;
 

@@ -1,8 +1,11 @@
 // Integration tests for src/core: MubeConfig, the Mube engine end to end on
-// generated Books universes, the Session feedback loop (the paper's §6
-// interaction model), and the Table 1 ground-truth scorer.
+// generated Books universes, the UserState validator and the Session
+// feedback loop over it (the paper's §6 interaction model), and the Table 1
+// ground-truth scorer.
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -11,6 +14,7 @@
 #include "core/ground_truth.h"
 #include "core/mube.h"
 #include "core/session.h"
+#include "core/user_state.h"
 #include "datagen/generator.h"
 #include "datagen/theater.h"
 #include "schema/serialization.h"
@@ -572,6 +576,190 @@ TEST_F(SessionTest, RestoreStateRejectsGarbageAtomically) {
   EXPECT_FALSE(session_->RestoreState("max_sources 0\n").ok());
   // The failed restores must not have clobbered the state.
   EXPECT_EQ(session_->pinned_sources(), before);
+
+  // Each of these names a state no setter accepts (and the first two would
+  // make every later Iterate() fail), or a malformed number.
+  const Result<std::string> saved = session_->SaveState();
+  ASSERT_TRUE(saved.ok());
+  generated_->universe.RetireSource(7);
+  const std::string retired = generated_->universe.source(7).name();
+  EXPECT_FALSE(session_->RestoreState("weights 0.9 0.9 0.9 0.9 0.9\n").ok());
+  EXPECT_EQ(session_->RestoreState("pin " + retired + "\n").code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(session_->RestoreState("theta nan\n").ok());
+  EXPECT_FALSE(session_->RestoreState("health_bias nan\n").ok());
+  EXPECT_FALSE(session_->RestoreState("max_sources 7junk\n").ok());
+  EXPECT_FALSE(session_->RestoreState("seed abc\n").ok());
+  EXPECT_EQ(session_->SaveState().ValueOrDie(), saved.ValueOrDie());
+}
+
+TEST_F(SessionTest, RestoreStateToleratesRepeatedPins) {
+  const std::string name = generated_->universe.source(3).name();
+  ASSERT_TRUE(
+      session_->RestoreState("pin " + name + "\npin " + name + "\n").ok());
+  EXPECT_EQ(session_->pinned_sources(), (std::vector<uint32_t>{3u}));
+}
+
+// ------------------------------------------------------------- user state --
+
+/// Four two-attribute sources; source 2 is retired.
+Universe UserStateUniverse() {
+  Universe u;
+  for (int i = 0; i < 4; ++i) {
+    Source s(0, "s" + std::to_string(i));
+    s.AddAttribute(Attribute("title"));
+    s.AddAttribute(Attribute("author"));
+    u.AddSource(std::move(s));
+  }
+  u.RetireSource(2);
+  return u;
+}
+
+// One row per setter outcome. Every row runs on a fresh state that already
+// pins s1 and constrains {s0.title, s1.title}; a rejected call must leave
+// that state exactly as it was.
+TEST(UserStateTest, EverySetterAcceptsAndRejectsPerContract) {
+  const Universe u = UserStateUniverse();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  using GA = GlobalAttribute;
+  struct Case {
+    const char* what;
+    std::function<Status(UserState*)> call;
+    StatusCode want;
+  };
+  const std::vector<Case> cases = {
+      {"pin id", [&](UserState* s) { return s->PinSource(u, 0u); },
+       StatusCode::kOk},
+      {"pin name", [&](UserState* s) { return s->PinSource(u, "s0"); },
+       StatusCode::kOk},
+      {"pin repeated", [&](UserState* s) { return s->PinSource(u, 1u); },
+       StatusCode::kAlreadyExists},
+      {"pin out of range", [&](UserState* s) { return s->PinSource(u, 4u); },
+       StatusCode::kInvalidArgument},
+      {"pin unknown name",
+       [&](UserState* s) { return s->PinSource(u, "nope"); },
+       StatusCode::kNotFound},
+      {"pin retired", [&](UserState* s) { return s->PinSource(u, 2u); },
+       StatusCode::kFailedPrecondition},
+      {"pin retired name", [&](UserState* s) { return s->PinSource(u, "s2"); },
+       StatusCode::kFailedPrecondition},
+      {"unpin", [&](UserState* s) { return s->UnpinSource(1u); },
+       StatusCode::kOk},
+      {"unpin absent", [&](UserState* s) { return s->UnpinSource(0u); },
+       StatusCode::kNotFound},
+      {"ga",
+       [&](UserState* s) {
+         return s->AddGaConstraint(
+             u, GA({AttributeRef(0, 1), AttributeRef(1, 1)}));
+       },
+       StatusCode::kOk},
+      {"ga empty",
+       [&](UserState* s) { return s->AddGaConstraint(u, GA()); },
+       StatusCode::kInvalidArgument},
+      {"ga unknown attribute",
+       [&](UserState* s) {
+         return s->AddGaConstraint(u, GA({AttributeRef(0, 7)}));
+       },
+       StatusCode::kInvalidArgument},
+      {"ga overlapping",
+       [&](UserState* s) {
+         return s->AddGaConstraint(u, GA({AttributeRef(0, 0)}));
+       },
+       StatusCode::kInvalidArgument},
+      {"ga on retired source",
+       [&](UserState* s) {
+         return s->AddGaConstraint(
+             u, GA({AttributeRef(0, 1), AttributeRef(2, 1)}));
+       },
+       StatusCode::kFailedPrecondition},
+      {"weights",
+       [&](UserState* s) { return s->SetWeights(3, {0.5, 0.25, 0.25}); },
+       StatusCode::kOk},
+      {"weights count",
+       [&](UserState* s) { return s->SetWeights(3, {0.5, 0.5}); },
+       StatusCode::kInvalidArgument},
+      {"weights range",
+       [&](UserState* s) { return s->SetWeights(3, {-0.5, 0.75, 0.75}); },
+       StatusCode::kInvalidArgument},
+      {"weights sum",
+       [&](UserState* s) { return s->SetWeights(3, {0.9, 0.9, 0.9}); },
+       StatusCode::kInvalidArgument},
+      {"weights nan",
+       [&](UserState* s) { return s->SetWeights(3, {nan, 0.5, 0.5}); },
+       StatusCode::kInvalidArgument},
+      {"theta 0", [&](UserState* s) { return s->SetTheta(0.0); },
+       StatusCode::kOk},
+      {"theta 1", [&](UserState* s) { return s->SetTheta(1.0); },
+       StatusCode::kOk},
+      {"theta below", [&](UserState* s) { return s->SetTheta(-0.1); },
+       StatusCode::kInvalidArgument},
+      {"theta above", [&](UserState* s) { return s->SetTheta(1.1); },
+       StatusCode::kInvalidArgument},
+      {"theta nan", [&](UserState* s) { return s->SetTheta(nan); },
+       StatusCode::kInvalidArgument},
+      {"max_sources", [&](UserState* s) { return s->SetMaxSources(1); },
+       StatusCode::kOk},
+      {"max_sources 0", [&](UserState* s) { return s->SetMaxSources(0); },
+       StatusCode::kInvalidArgument},
+      {"optimizer", [&](UserState* s) { return s->SetOptimizer("tabu"); },
+       StatusCode::kOk},
+      {"optimizer unknown",
+       [&](UserState* s) { return s->SetOptimizer("warp"); },
+       StatusCode::kNotFound},
+      {"health bias 0", [&](UserState* s) { return s->SetHealthBias(0.0); },
+       StatusCode::kOk},
+      {"health bias", [&](UserState* s) { return s->SetHealthBias(0.99); },
+       StatusCode::kOk},
+      {"health bias 1", [&](UserState* s) { return s->SetHealthBias(1.0); },
+       StatusCode::kInvalidArgument},
+      {"health bias below",
+       [&](UserState* s) { return s->SetHealthBias(-0.1); },
+       StatusCode::kInvalidArgument},
+      {"health bias nan", [&](UserState* s) { return s->SetHealthBias(nan); },
+       StatusCode::kInvalidArgument},
+  };
+  for (const Case& c : cases) {
+    UserState state;
+    ASSERT_TRUE(state.PinSource(u, 1u).ok());
+    ASSERT_TRUE(
+        state.AddGaConstraint(u, GA({AttributeRef(0, 0), AttributeRef(1, 0)}))
+            .ok());
+    const std::string before = state.SerializeDirectives(u);
+    EXPECT_EQ(c.call(&state).code(), c.want) << c.what;
+    if (c.want != StatusCode::kOk) {
+      EXPECT_EQ(state.SerializeDirectives(u), before) << c.what;
+    }
+  }
+}
+
+TEST(UserStateTest, BuildRunSpecShedsRetiredSourcesAndPruneAgrees) {
+  Universe u = UserStateUniverse();
+  const uint32_t s3 = 3;
+  UserState state;
+  ASSERT_TRUE(state.PinSource(u, 0u).ok());
+  ASSERT_TRUE(state.PinSource(u, s3).ok());
+  const GlobalAttribute kept({AttributeRef(0, 1), AttributeRef(1, 1)});
+  ASSERT_TRUE(state.AddGaConstraint(u, kept).ok());
+  ASSERT_TRUE(state
+                  .AddGaConstraint(
+                      u, GlobalAttribute({AttributeRef(1, 0),
+                                          AttributeRef(s3, 0)}))
+                  .ok());
+  ASSERT_TRUE(state.SetTheta(0.6).ok());
+
+  u.RetireSource(s3);
+  const RunSpec spec = state.BuildRunSpec(u, 42);
+  EXPECT_EQ(spec.source_constraints, (std::vector<uint32_t>{0u}));
+  ASSERT_EQ(spec.ga_constraints.size(), 1u);
+  EXPECT_EQ(spec.ga_constraints.ga(0), kept);
+  EXPECT_EQ(spec.theta, 0.6);
+  EXPECT_EQ(spec.seed, 42u);
+  // Shedding is lazy: the state itself keeps the stale entries until
+  // PruneRetired drops exactly what the spec left out.
+  EXPECT_EQ(state.pinned_sources().size(), 2u);
+  state.PruneRetired(u);
+  EXPECT_EQ(state.pinned_sources(), spec.source_constraints);
+  EXPECT_EQ(state.ga_constraints(), spec.ga_constraints);
 }
 
 TEST_F(SessionTest, RestoreEmptyStateClears) {

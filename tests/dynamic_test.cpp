@@ -702,6 +702,30 @@ TEST(SessionChurnTest, ChurnPrunesStalePinsAndLogsEvents) {
   EXPECT_NE(stale.message().find("removed"), std::string::npos);
 }
 
+TEST(SessionChurnTest, GaConstraintOnRemovedSourceRejected) {
+  GeneratedUniverse gen = GenerateUniverse(SmallGen(41)).ValueOrDie();
+  DeltaUniverse du(std::move(gen.universe));
+  auto session = Session::Create(&du, FastConfig()).ValueOrDie();
+  ASSERT_TRUE(session
+                  ->ApplyChurn({ChurnEvent::RemoveSource(
+                      du.universe().source(2).name())})
+                  .ok());
+
+  // A GA over the tombstone is refused up front, like a pin on it, instead
+  // of failing the next Iterate().
+  Status stale = session->AddGaConstraint(
+      GlobalAttribute({AttributeRef(1, 0), AttributeRef(2, 0)}));
+  EXPECT_EQ(stale.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(stale.message().find("removed"), std::string::npos);
+  EXPECT_TRUE(session->ga_constraints().empty());
+  ASSERT_TRUE(session
+                  ->AddGaConstraint(GlobalAttribute(
+                      {AttributeRef(1, 0), AttributeRef(3, 0)}))
+                  .ok());
+  Result<MubeResult> result = session->Iterate();
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+}
+
 TEST(SessionChurnTest, ReIterateRunsWarmAfterSmallChurn) {
   GeneratedUniverse gen = GenerateUniverse(SmallGen(43)).ValueOrDie();
   DeltaUniverse du(std::move(gen.universe));
