@@ -39,7 +39,7 @@ Status MubeConfig::Validate() const {
   bool has_matching = false;
   double sum = 0.0;
   for (const QefSpec& spec : qefs) {
-    if (spec.weight < 0.0 || spec.weight > 1.0) {
+    if (!(spec.weight >= 0.0 && spec.weight <= 1.0)) {  // rejects NaN too
       return Status::InvalidArgument("MubeConfig: QEF weight out of [0,1]");
     }
     sum += spec.weight;
@@ -50,7 +50,7 @@ Status MubeConfig::Validate() const {
           "MubeConfig: characteristic QEF without a characteristic name");
     }
   }
-  if (std::abs(sum - 1.0) > 1e-9) {
+  if (!(std::abs(sum - 1.0) <= 1e-9)) {
     return Status::InvalidArgument("MubeConfig: QEF weights sum to " +
                                    std::to_string(sum) + ", expected 1");
   }
@@ -59,7 +59,7 @@ Status MubeConfig::Validate() const {
         "MubeConfig: a matching QEF is required (it produces the mediated "
         "schema)");
   }
-  if (theta < 0.0 || theta > 1.0) {
+  if (!(theta >= 0.0 && theta <= 1.0)) {
     return Status::InvalidArgument("MubeConfig: theta must be in [0,1]");
   }
   if (max_sources == 0) {

@@ -254,11 +254,12 @@ Result<MubeResult> Mube::Run(const RunSpec& spec) const {
   // Reliability feedback: when the caller supplies observed health scores,
   // the health QEF joins the quality function and everything else yields a
   // proportional share of the weight mass.
-  const bool use_health =
-      !spec.source_health.empty() && spec.health_weight > 0.0;
-  if (use_health && spec.health_weight >= 1.0) {
+  if (!spec.source_health.empty() &&
+      !(spec.health_weight >= 0.0 && spec.health_weight < 1.0)) {
     return Status::InvalidArgument("RunSpec: health_weight must be in [0,1)");
   }
+  const bool use_health =
+      !spec.source_health.empty() && spec.health_weight > 0.0;
   const double weight_scale = use_health ? 1.0 - spec.health_weight : 1.0;
 
   QefSet qefs;

@@ -16,7 +16,7 @@ namespace {
 /// One cluster of Algorithm 1: a candidate GA plus the bookkeeping flags the
 /// algorithm uses across iterations.
 struct Cluster {
-  /// Members as global attribute indexes, unsorted.
+  /// Members as positions into the Match call's sorted A_S, unsorted.
   std::vector<uint32_t> attrs;
   /// Source ids of the members, sorted — merge validity (Definition 1) is a
   /// disjointness test on these.
@@ -43,34 +43,27 @@ bool SourcesDisjoint(const std::vector<uint32_t>& a,
   return true;
 }
 
-/// Similarity between two clusters. The paper's definition (§3) is max
-/// linkage: "the similarity between two clusters is the maximum similarity
-/// between an attribute from the first cluster and an attribute from the
-/// second cluster". Average linkage is kept as an ablation.
-double ClusterSimilarity(const SimilaritySource& sim, ClusterLinkage linkage,
-                         const Cluster& a, const Cluster& b) {
-  if (linkage == ClusterLinkage::kAverage) {
-    double sum = 0.0;
-    for (uint32_t i : a.attrs) {
-      for (uint32_t j : b.attrs) sum += sim.At(i, j);
-    }
-    return sum / static_cast<double>(a.attrs.size() * b.attrs.size());
-  }
-  double best = 0.0;
+/// Average-linkage similarity between two clusters (the ablation; the
+/// paper's max linkage is read off the θ-edges instead). `attrs` maps the
+/// clusters' positions to global attribute indexes.
+double AverageLinkage(const SimilaritySource& sim,
+                      const std::vector<uint32_t>& attrs, const Cluster& a,
+                      const Cluster& b) {
+  double sum = 0.0;
   for (uint32_t i : a.attrs) {
-    for (uint32_t j : b.attrs) {
-      best = std::max(best, sim.At(i, j));
-    }
+    for (uint32_t j : b.attrs) sum += sim.At(attrs[i], attrs[j]);
   }
-  return best;
+  return sum / static_cast<double>(a.attrs.size() * b.attrs.size());
 }
 
 /// Max pairwise similarity *within* a cluster — the per-GA quality measure.
-double IntraClusterQuality(const SimilaritySource& sim, const Cluster& c) {
+double IntraClusterQuality(const SimilaritySource& sim,
+                           const std::vector<uint32_t>& attrs,
+                           const Cluster& c) {
   double best = 0.0;
   for (size_t i = 0; i < c.attrs.size(); ++i) {
     for (size_t j = i + 1; j < c.attrs.size(); ++j) {
-      best = std::max(best, sim.At(c.attrs[i], c.attrs[j]));
+      best = std::max(best, sim.At(attrs[c.attrs[i]], attrs[c.attrs[j]]));
     }
   }
   return best;
@@ -91,6 +84,23 @@ struct HeapEntry {
 
 }  // namespace
 
+std::vector<ThetaEdge> ThetaEdgesWithin(const SimilaritySource& similarity,
+                                        const std::vector<uint32_t>& attrs,
+                                        double theta) {
+  std::vector<ThetaEdge> edges;
+  for (uint32_t a = 0; a < attrs.size(); ++a) {
+    // Rows come in ascending j, so one forward cursor over the sorted
+    // subset meets every later member the row reaches.
+    uint32_t b = a + 1;
+    similarity.ForEachNeighborAtLeast(
+        attrs[a], theta, [&](size_t j, float sim) {
+          while (b < attrs.size() && attrs[b] < j) ++b;
+          if (b < attrs.size() && attrs[b] == j) edges.push_back({a, b, sim});
+        });
+  }
+  return edges;
+}
+
 Matcher::Matcher(const Universe& universe, const SimilaritySource& similarity)
     : universe_(universe), similarity_(similarity) {}
 
@@ -99,14 +109,15 @@ Result<MatchResult> Matcher::Match(
     const std::vector<uint32_t>& source_constraints,
     const MediatedSchema& ga_constraints) const {
   // ---- Input validation -------------------------------------------------
-  if (options.theta < 0.0 || options.theta > 1.0) {
+  const double neighbor_floor = similarity_.neighbor_floor();
+  if (!(options.theta >= 0.0 && options.theta <= 1.0)) {  // rejects NaN too
     return Status::InvalidArgument("theta must be in [0, 1]");
   }
-  if (options.theta < similarity_.neighbor_floor()) {
+  if (options.theta < neighbor_floor) {
     return Status::InvalidArgument(
         "theta " + std::to_string(options.theta) +
         " is below the similarity source's neighbor floor " +
-        std::to_string(similarity_.neighbor_floor()) +
+        std::to_string(neighbor_floor) +
         "; a sparse index cannot enumerate pairs under its index_theta — "
         "rebuild it with a lower SparseIndexOptions::index_theta");
   }
@@ -145,32 +156,47 @@ Result<MatchResult> Matcher::Match(
     }
   }
 
+  // ---- θ-edges of A_S: the only neighbor enumeration of this call -------
+  // A_S in ascending global index; clusters refer to positions in it.
+  std::vector<uint32_t> attrs;
+  for (uint32_t sid : source_ids) {
+    for (uint32_t a = 0; a < universe_.source(sid).attribute_count(); ++a) {
+      attrs.push_back(static_cast<uint32_t>(
+          universe_.GlobalAttrIndex(AttributeRef(sid, a))));
+    }
+  }
+  std::sort(attrs.begin(), attrs.end());
+  const auto position = [&](const AttributeRef& ref) {
+    const auto it = std::lower_bound(attrs.begin(), attrs.end(),
+                                     universe_.GlobalAttrIndex(ref));
+    return static_cast<uint32_t>(it - attrs.begin());
+  };
+  const std::vector<ThetaEdge> edges =
+      ThetaEdgesWithin(similarity_, attrs, options.theta);
+
   // ---- Initialization (Algorithm 1, lines 1-4) ---------------------------
   std::vector<Cluster> clusters;
-  std::unordered_set<uint32_t> constrained_attrs;  // global indexes in G
+  std::vector<char> constrained(attrs.size(), 0);  // member of a GA in G
 
   for (const GlobalAttribute& g : ga_constraints.gas()) {
     Cluster c;
     c.keep = true;
     for (const AttributeRef& ref : g.members()) {
-      const uint32_t gidx =
-          static_cast<uint32_t>(universe_.GlobalAttrIndex(ref));
-      c.attrs.push_back(gidx);
+      const uint32_t p = position(ref);
+      c.attrs.push_back(p);
       c.sources.push_back(ref.source_id);
-      constrained_attrs.insert(gidx);
+      constrained[p] = 1;
     }
     std::sort(c.sources.begin(), c.sources.end());
     clusters.push_back(std::move(c));
   }
 
   for (uint32_t sid : source_ids) {
-    const Source& source = universe_.source(sid);
-    for (uint32_t a = 0; a < source.attribute_count(); ++a) {
-      const uint32_t gidx = static_cast<uint32_t>(
-          universe_.GlobalAttrIndex(AttributeRef(sid, a)));
-      if (constrained_attrs.count(gidx) != 0) continue;
+    for (uint32_t a = 0; a < universe_.source(sid).attribute_count(); ++a) {
+      const uint32_t p = position(AttributeRef(sid, a));
+      if (constrained[p]) continue;
       Cluster c;
-      c.attrs.push_back(gidx);
+      c.attrs.push_back(p);
       c.sources.push_back(sid);
       clusters.push_back(std::move(c));
     }
@@ -180,60 +206,51 @@ Result<MatchResult> Matcher::Match(
   // (grew to >= 2 members, then ran out of viable partners).
   std::vector<Cluster> frozen;
 
-  // Member-attribute → live-cluster index, refreshed each iteration. Sized
-  // to the whole universe so neighbor callbacks (which yield *global*
-  // attribute indexes, including attributes outside S) resolve in O(1).
+  // Position in A_S → live-cluster index, refreshed each iteration.
   constexpr uint32_t kNoCluster = UINT32_MAX;
-  std::vector<uint32_t> cluster_of(similarity_.attribute_count(), kNoCluster);
+  std::vector<uint32_t> cluster_of(attrs.size());
 
   // ---- Main loop (Algorithm 1, lines 5-23) -------------------------------
   bool done = false;
   while (!done) {
     done = true;
     for (Cluster& c : clusters) {
-      c.merged = false;
-      c.merge_cand = false;
-      c.newly_merged = false;
+      c.merged = c.merge_cand = c.newly_merged = false;
     }
 
     // Line 8: all live cluster pairs with similarity >= theta, best first.
-    // Candidate pairs come from θ-neighbor enumeration rather than a k²
+    // Candidate pairs are the clusters joined by a θ-edge rather than a k²
     // cluster-pair scan: under either linkage a cluster pair can only
     // reach θ if some cross attribute pair does (max ≥ average), so the
     // candidate set — and with it the heap contents — is identical to the
-    // exhaustive scan whenever enumeration is complete (θ ≥ the source's
-    // neighbor floor, validated above).
+    // exhaustive scan whenever the edges are complete (θ ≥ the source's
+    // neighbor floor, validated above). Every cluster in `clusters` is
+    // live here: the previous iteration compacted the dead ones away.
     std::fill(cluster_of.begin(), cluster_of.end(), kNoCluster);
     for (uint32_t i = 0; i < clusters.size(); ++i) {
-      if (!clusters[i].alive) continue;
-      for (uint32_t a : clusters[i].attrs) cluster_of[a] = i;
+      for (uint32_t p : clusters[i].attrs) cluster_of[p] = i;
     }
     // kMax: the cluster similarity is the max cross pair, every cross pair
-    // ≥ θ is enumerated, so the running max over callbacks IS the cluster
-    // similarity. kAverage: enumeration only nominates the pair; the
-    // average needs the sub-θ pairs too and is computed exactly via At().
+    // ≥ θ is an edge, so the running max over edges IS the cluster
+    // similarity (the paper's definition, §3). kAverage: the edge only
+    // nominates the pair; the average needs the sub-θ pairs too and is
+    // computed exactly via At().
     // std::map keys keep candidate pairs in deterministic (c1, c2) order.
     std::map<std::pair<uint32_t, uint32_t>, double> candidates;
-    for (uint32_t i = 0; i < clusters.size(); ++i) {
-      if (!clusters[i].alive) continue;
-      for (uint32_t a : clusters[i].attrs) {
-        similarity_.ForEachNeighborAtLeast(
-            a, options.theta, [&](size_t nbr, float sim) {
-              const uint32_t j = cluster_of[nbr];
-              if (j == kNoCluster || j == i) return;
-              const auto key = std::minmax(i, j);
-              double& best = candidates[{key.first, key.second}];
-              best = std::max(best, static_cast<double>(sim));
-            });
-      }
+    for (const ThetaEdge& e : edges) {
+      const uint32_t i = cluster_of[e.a];
+      const uint32_t j = cluster_of[e.b];
+      if (i == kNoCluster || j == kNoCluster || i == j) continue;
+      double& best = candidates[std::minmax(i, j)];
+      best = std::max(best, static_cast<double>(e.similarity));
     }
     std::priority_queue<HeapEntry> heap;
     for (const auto& [pair, max_sim] : candidates) {
       const double s =
           options.linkage == ClusterLinkage::kMax
               ? max_sim
-              : ClusterSimilarity(similarity_, options.linkage,
-                                  clusters[pair.first], clusters[pair.second]);
+              : AverageLinkage(similarity_, attrs, clusters[pair.first],
+                               clusters[pair.second]);
       if (s >= options.theta) heap.push(HeapEntry{s, pair.first, pair.second});
     }
 
@@ -256,10 +273,8 @@ Result<MatchResult> Matcher::Match(
           std::merge(c1.sources.begin(), c1.sources.end(),
                      c2.sources.begin(), c2.sources.end(),
                      merged.sources.begin());
-          c1.merged = true;
-          c1.alive = false;
-          c2.merged = true;
-          c2.alive = false;
+          c1.merged = c2.merged = true;
+          c1.alive = c2.alive = false;
           clusters.push_back(std::move(merged));
           // The merged cluster may itself have viable partners; another
           // pass is required ("until no more pairs to merge").
@@ -281,19 +296,13 @@ Result<MatchResult> Matcher::Match(
     // cluster that already represents a matching (>= 2 attributes) is a
     // finished GA and moves to the output set; pruned singletons vanish.
     for (Cluster& c : clusters) {
-      if (!c.alive) continue;
-      if (c.newly_merged || c.merge_cand || c.keep) continue;
+      if (!c.alive || c.newly_merged || c.merge_cand || c.keep) continue;
       c.alive = false;
       if (c.attrs.size() >= 2) frozen.push_back(c);
     }
 
-    // Compact the working set so the O(k^2) pair scan stays small.
-    std::vector<Cluster> live;
-    live.reserve(clusters.size());
-    for (Cluster& c : clusters) {
-      if (c.alive) live.push_back(std::move(c));
-    }
-    clusters = std::move(live);
+    // Compact the working set to the live clusters.
+    std::erase_if(clusters, [](const Cluster& c) { return !c.alive; });
   }
 
   // Survivors of the final iteration: keep clusters, and any cluster with
@@ -310,12 +319,12 @@ Result<MatchResult> Matcher::Match(
     }
     std::vector<AttributeRef> members;
     members.reserve(c.attrs.size());
-    for (uint32_t gidx : c.attrs) {
-      members.push_back(universe_.RefFromGlobalIndex(gidx));
+    for (uint32_t p : c.attrs) {
+      members.push_back(universe_.RefFromGlobalIndex(attrs[p]));
     }
     GlobalAttribute ga(std::move(members));
     MUBE_DCHECK(ga.IsValid());
-    result.ga_quality.push_back(IntraClusterQuality(similarity_, c));
+    result.ga_quality.push_back(IntraClusterQuality(similarity_, attrs, c));
     result.schema.Add(std::move(ga));
   }
 

@@ -17,17 +17,17 @@
 /// The Matcher programs against the SimilaritySource interface, not a
 /// concrete store: small universes hand it the dense SimilarityMatrix,
 /// internet-scale ones the blocked SparseSimilarityIndex (the engine picks;
-/// see MubeConfig::similarity_index). Candidate cluster pairs are found by
-/// enumerating each member attribute's θ-neighbors instead of scanning all
-/// cluster pairs — identical output (a cluster pair can only clear θ if
-/// some cross pair does, under either linkage). The enumeration runs over
-/// the whole universe and the Matcher discards neighbors outside S, so its
-/// cost is set by the backend, not by the above-θ pairs inside S: the
-/// dense matrix scans the full row, O(|A_U|) per enumerated attribute and
+/// see MubeConfig::similarity_index). Each Match(S) reads the source's
+/// neighbor rows in one pass: ThetaEdgesWithin enumerates every attribute
+/// of S exactly once and keeps the θ-pairs inside S, and every Algorithm 1
+/// iteration finds its candidate cluster pairs in that edge list instead
+/// of scanning all cluster pairs — identical output (a cluster pair can
+/// only clear θ if some cross pair does, under either linkage). The pass
+/// costs one enumeration per attribute of S, priced by the backend: the
+/// dense matrix reads the full row, O(|A_U|) per attribute and
 /// O(|A_S|·|A_U|) per Match(S); the sparse index walks only each row's
-/// stored neighbors. On the paper workload the dense enumeration delivers
-/// 0.67·|A_S|² neighbors per Match(S) at |U|=100 and 1.86·|A_S|² at
-/// |U|=300 (perfbench's match.visits_per_as2), on top of the row scans.
+/// stored neighbors. Each iteration then costs O(|A_S| + |E_S|) for the
+/// E_S θ-pairs inside S, plus the candidate bookkeeping.
 /// Because it enumerates, Match requires θ ≥
 /// SimilaritySource::neighbor_floor() and rejects lower thresholds, which
 /// the dense matrix (floor 0) never triggers.
@@ -92,6 +92,23 @@ struct MatchResult {
   std::vector<double> ga_quality;
 };
 
+/// \brief A pair of attributes of a subset whose similarity clears θ.
+struct ThetaEdge {
+  uint32_t a;  ///< position in the caller's attribute vector; a < b
+  uint32_t b;
+  float similarity;  ///< as stored by the SimilaritySource
+};
+
+/// The θ-graph of an attribute subset: every pair of `attrs` (global
+/// attribute indexes, strictly ascending) with similarity ≥ theta, each
+/// once, in ascending (a, b) order. Calls
+/// similarity.ForEachNeighborAtLeast exactly once per element of `attrs`
+/// and nothing else; a pair is read from the row of its smaller index.
+/// Complete when theta ≥ similarity.neighbor_floor().
+std::vector<ThetaEdge> ThetaEdgesWithin(const SimilaritySource& similarity,
+                                        const std::vector<uint32_t>& attrs,
+                                        double theta);
+
 /// \brief Stateless executor of Algorithm 1 over a precomputed similarity
 /// source (dense matrix or sparse index). One Matcher serves any number of
 /// Match calls with any subsets and constraint sets; it holds only const
@@ -116,6 +133,10 @@ class Matcher {
   /// below the similarity source's neighbor_floor(), where sparse neighbor
   /// enumeration could silently miss merges; an infeasible matching is NOT
   /// an error (see MatchResult::feasible).
+  ///
+  /// Similarity reads: neighbor_floor() once, first; then, for a valid
+  /// input, one ForEachNeighborAtLeast per attribute of S and none for
+  /// other attributes; then At() reads for average linkage and GA quality.
   Result<MatchResult> Match(const std::vector<uint32_t>& source_ids,
                             const MatchOptions& options,
                             const std::vector<uint32_t>& source_constraints,

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
-#include "common/det.h"
+#include "match/matcher.h"
 #include "schema/universe.h"
 
 namespace mube {
@@ -33,30 +32,22 @@ class UnionFind {
 NaiveMatchResult NaiveComponentsMatch(
     const Universe& universe, const SimilaritySource& similarity,
     const std::vector<uint32_t>& source_ids, double theta) {
-  // Collect the global attribute indexes of S.
-  std::vector<size_t> attrs;
+  // The global attribute indexes of S, ascending.
+  std::vector<uint32_t> attrs;
   for (uint32_t sid : source_ids) {
-    const Source& source = universe.source(sid);
-    for (uint32_t a = 0; a < source.attribute_count(); ++a) {
-      attrs.push_back(universe.GlobalAttrIndex(AttributeRef(sid, a)));
+    for (uint32_t a = 0; a < universe.source(sid).attribute_count(); ++a) {
+      attrs.push_back(static_cast<uint32_t>(
+          universe.GlobalAttrIndex(AttributeRef(sid, a))));
     }
   }
+  std::sort(attrs.begin(), attrs.end());
 
   UnionFind uf(attrs.size());
   if (theta >= similarity.neighbor_floor()) {
-    // θ-neighbor enumeration: the edges are exactly the pairs ≥ theta, so
-    // the components match the exhaustive scan (up to candidate recall on
-    // a sparse index). Scales with stored pairs, not |attrs|².
-    constexpr size_t kNotInS = SIZE_MAX;
-    std::vector<size_t> local(similarity.attribute_count(), kNotInS);
-    for (size_t i = 0; i < attrs.size(); ++i) local[attrs[i]] = i;
-    for (size_t i = 0; i < attrs.size(); ++i) {
-      similarity.ForEachNeighborAtLeast(
-          attrs[i], theta, [&](size_t nbr, float sim) {
-            (void)sim;
-            const size_t j = local[nbr];
-            if (j != kNotInS && j != i) uf.Union(i, j);
-          });
+    // The θ-edges are exactly the pairs ≥ theta, so the components match
+    // the exhaustive scan (up to candidate recall on a sparse index).
+    for (const ThetaEdge& e : ThetaEdgesWithin(similarity, attrs, theta)) {
+      uf.Union(e.a, e.b);
     }
   } else {
     // Below the floor a sparse index cannot enumerate; exhaustive At() is
@@ -68,31 +59,23 @@ NaiveMatchResult NaiveComponentsMatch(
     }
   }
 
-  std::unordered_map<size_t, std::vector<size_t>> components;
+  std::vector<std::vector<size_t>> members_of(attrs.size());  // by root
   for (size_t i = 0; i < attrs.size(); ++i) {
-    components[uf.Find(i)].push_back(i);
+    members_of[uf.Find(i)].push_back(i);
   }
 
   NaiveMatchResult result;
   double quality_sum = 0.0;
-  // Deterministic output order: components enumerated by sorted root
-  // (never hash order), then GAs ordered by smallest member.
-  std::vector<const std::vector<size_t>*> ordered;
-  for (const size_t root : det::SortedKeys(components)) {
-    const std::vector<size_t>& members = components.at(root);
-    if (members.size() >= 2) ordered.push_back(&members);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [&](const std::vector<size_t>* a, const std::vector<size_t>* b) {
-              return attrs[a->front()] < attrs[b->front()];
-            });
-
-  for (const std::vector<size_t>* members : ordered) {
+  // GAs in order of their smallest member: attrs is ascending, so each
+  // component is emitted at its first member.
+  for (size_t i = 0; i < attrs.size(); ++i) {
+    const std::vector<size_t>& members = members_of[uf.Find(i)];
+    if (members.size() < 2 || members.front() != i) continue;
     std::vector<AttributeRef> refs;
     double best = 0.0;
-    for (size_t li : *members) {
+    for (size_t li : members) {
       refs.push_back(universe.RefFromGlobalIndex(attrs[li]));
-      for (size_t lj : *members) {
+      for (size_t lj : members) {
         if (li < lj) {
           best = std::max(best, similarity.At(attrs[li], attrs[lj]));
         }

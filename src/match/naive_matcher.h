@@ -41,10 +41,12 @@ struct NaiveMatchResult {
 };
 
 /// Clusters the attributes of `source_ids` into θ-similarity connected
-/// components. Works against any SimilaritySource: when theta ≥ the
-/// source's neighbor_floor() the edge scan enumerates stored θ-neighbors
-/// (sparse-index fast path); below the floor it falls back to exhaustive
-/// At() pairs, which stays exact on every implementation.
+/// components, output in order of each component's smallest global
+/// attribute index. Works against any SimilaritySource: when theta ≥ the
+/// source's neighbor_floor() the edges come from ThetaEdgesWithin (see
+/// matcher.h), one neighbor enumeration per attribute of S; below the
+/// floor it falls back to exhaustive At() pairs, O(|A_S|²), which stays
+/// exact on every implementation.
 NaiveMatchResult NaiveComponentsMatch(const Universe& universe,
                                       const SimilaritySource& similarity,
                                       const std::vector<uint32_t>& source_ids,

@@ -10,7 +10,7 @@ Status QefSet::Add(std::unique_ptr<Qef> qef, double weight) {
   if (qef == nullptr) {
     return Status::InvalidArgument("QefSet::Add: null QEF");
   }
-  if (weight < 0.0 || weight > 1.0) {
+  if (!(weight >= 0.0 && weight <= 1.0)) {  // rejects NaN too
     return Status::InvalidArgument("QEF weight must be in [0, 1], got " +
                                    std::to_string(weight));
   }
@@ -26,7 +26,7 @@ Status QefSet::SetWeights(const std::vector<double>& weights) {
         " does not match QEF count " + std::to_string(qefs_.size()));
   }
   for (double w : weights) {
-    if (w < 0.0 || w > 1.0) {
+    if (!(w >= 0.0 && w <= 1.0)) {
       return Status::InvalidArgument("QEF weight must be in [0, 1], got " +
                                      std::to_string(w));
     }
@@ -48,13 +48,13 @@ Status QefSet::NormalizeWeights() {
 Status QefSet::ValidateWeights() const {
   double sum = 0.0;
   for (double w : weights_) {
-    if (w < 0.0 || w > 1.0) {
+    if (!(w >= 0.0 && w <= 1.0)) {
       return Status::InvalidArgument("QEF weight out of [0, 1]: " +
                                      std::to_string(w));
     }
     sum += w;
   }
-  if (std::abs(sum - 1.0) > 1e-9) {
+  if (!(std::abs(sum - 1.0) <= 1e-9)) {
     return Status::InvalidArgument("QEF weights sum to " +
                                    std::to_string(sum) + ", expected 1");
   }

@@ -93,8 +93,9 @@ class SimilarityMatrix : public SimilaritySource {
   size_t attribute_count() const override { return n_; }
 
   /// Largest similarity between attribute i and *any* other attribute.
-  /// Algorithm 1 prunes clusters whose best similarity is below θ; this
-  /// per-attribute bound lets the pruning happen before clustering starts.
+  /// No matcher reads it (Algorithm 1 finds its candidates through
+  /// ForEachNeighborAtLeast); it is kept for the SimilaritySource
+  /// interface and for the tests that compare builds row by row.
   double MaxSimilarityOf(size_t i) const override { return row_max_[i]; }
 
   /// Full-row scan: every j with At(i, j) >= theta, ascending. Complete at

@@ -70,9 +70,12 @@ class SimilaritySource {
   /// Cost is per implementation and not bounded by the number of
   /// callbacks: the dense matrix reads the whole row, O(attribute_count())
   /// per call at any theta; the sparse index walks only row i's stored
-  /// neighbors. Neighbors anywhere in the universe are reported, so a
-  /// caller interested in a subset (the Matcher's S) pays for and
-  /// discards the rest.
+  /// neighbors. Neighbors anywhere in the universe are reported; a caller
+  /// interested in a subset filters them itself. ThetaEdgesWithin
+  /// (match/matcher.h) is that filter for both matchers: it enumerates
+  /// each attribute of S once per Match(S) and keeps the pairs inside S,
+  /// so a row is paid for once per call, not once per clustering
+  /// iteration.
   virtual void ForEachNeighborAtLeast(size_t i, double theta,
                                       const NeighborFn& fn) const = 0;
 

@@ -17,6 +17,8 @@
 #include "core/user_state.h"
 #include "datagen/generator.h"
 #include "datagen/theater.h"
+#include "qef/data_qefs.h"
+#include "qef/qef.h"
 #include "schema/serialization.h"
 
 namespace mube {
@@ -114,6 +116,75 @@ TEST_F(MubeEngineTest, CreateRejectsBadInputs) {
   auto engine = Mube::Create(&generated_->universe, bad_opt);
   ASSERT_TRUE(engine.ok());
   EXPECT_FALSE(engine.ValueOrDie()->Run(RunSpec()).ok());
+}
+
+// Every [lo, hi] range check outside UserState must reject NaN, which
+// slips through a check written as `x < lo || x > hi`.
+TEST_F(MubeEngineTest, NanFailsEveryRangeCheck) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Universe& u = generated_->universe;
+  const auto card = [&] { return std::make_unique<CardQef>(u); };
+  struct Case {
+    const char* what;
+    std::function<Status()> call;
+  };
+  const std::vector<Case> cases = {
+      {"Matcher::Match theta",
+       [&] {
+         MatchOptions options;
+         options.theta = nan;
+         return mube_->matcher().Match({0, 1}, options).status();
+       }},
+      {"MubeConfig theta",
+       [&] {
+         MubeConfig config = FastConfig();
+         config.theta = nan;
+         return config.Validate();
+       }},
+      {"MubeConfig QEF weight",
+       [&] {
+         MubeConfig config = FastConfig();
+         config.qefs[1].weight = nan;
+         return config.Validate();
+       }},
+      {"QefSet::Add",
+       [&] {
+         QefSet set;
+         return set.Add(card(), nan);
+       }},
+      {"QefSet::SetWeights",
+       [&] {
+         QefSet set;
+         MUBE_RETURN_IF_ERROR(set.Add(card(), 0.5));
+         MUBE_RETURN_IF_ERROR(set.Add(card(), 0.5));
+         return set.SetWeights({nan, 0.5});
+       }},
+      {"QefSet::ValidateWeights",
+       [&] {
+         // A NaN weight must not reach a set that then validates.
+         QefSet set;
+         MUBE_RETURN_IF_ERROR(set.Add(card(), 1.0));
+         MUBE_RETURN_IF_ERROR(set.Add(card(), nan));
+         return set.ValidateWeights();
+       }},
+      {"RunSpec::health_weight NaN",
+       [&] {
+         RunSpec spec;
+         spec.source_health = {{0u, 0.5}};
+         spec.health_weight = nan;
+         return mube_->Run(spec).status();
+       }},
+      {"RunSpec::health_weight negative",
+       [&] {
+         RunSpec spec;
+         spec.source_health = {{0u, 0.5}};
+         spec.health_weight = -0.1;
+         return mube_->Run(spec).status();
+       }},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.call().code(), StatusCode::kInvalidArgument) << c.what;
+  }
 }
 
 TEST_F(MubeEngineTest, UnconstrainedRunProducesFeasibleSolution) {

@@ -1,8 +1,12 @@
 // Tests for src/match: Algorithm 1's constrained greedy similarity
 // clustering — validity guarantees, θ enforcement, the Figure 3 GA-
 // constraint bridging behaviour, source-constraint feasibility, the β
-// bound, and property sweeps over random universes.
+// bound, property sweeps over random universes, a pairwise reference
+// oracle, and the similarity-read budget of one Match(S).
 
+#include <algorithm>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,6 +18,7 @@
 #include "schema/universe.h"
 #include "text/similarity.h"
 #include "text/similarity_matrix.h"
+#include "text/sparse_similarity.h"
 
 namespace mube {
 namespace {
@@ -431,32 +436,36 @@ TEST(NaiveMatcherTest, EmptyAndNoMatchCases) {
 
 class MatcherPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(MatcherPropertyTest, RandomUniverseInvariants) {
-  // Random universes built from a small attribute-name pool (to force both
-  // matches and near-misses). Invariants:
-  //  (1) output schema is well-formed;
-  //  (2) every non-constraint GA has >= 2 attributes and quality >= θ;
-  //  (3) overall quality equals the mean of per-GA qualities;
-  //  (4) determinism: same inputs -> same output.
-  const uint64_t seed = GetParam();
-  Rng rng(seed);
+/// Random schemas over a small attribute-name pool (to force both matches
+/// and near-misses): 4-11 sources of 1-4 attributes.
+std::vector<std::vector<std::string>> RandomSchemas(Rng* rng) {
   const std::vector<std::string> pool = {
       "title",   "titles",   "book title", "author", "authors",
       "keyword", "keywords", "isbn",       "price",  "price range",
       "publisher", "year",   "format",     "zebra",  "quux"};
 
   std::vector<std::vector<std::string>> schemas;
-  const size_t num_sources = 4 + rng.Uniform(8);
+  const size_t num_sources = 4 + rng->Uniform(8);
   for (size_t i = 0; i < num_sources; ++i) {
     std::vector<std::string> schema;
-    const size_t num_attrs = 1 + rng.Uniform(4);
-    std::vector<size_t> picks = rng.SampleWithoutReplacement(pool.size(),
-                                                             num_attrs);
+    const size_t num_attrs = 1 + rng->Uniform(4);
+    std::vector<size_t> picks = rng->SampleWithoutReplacement(pool.size(),
+                                                              num_attrs);
     for (size_t p : picks) schema.push_back(pool[p]);
     schemas.push_back(std::move(schema));
   }
+  return schemas;
+}
 
-  MatchFixture f(schemas);
+TEST_P(MatcherPropertyTest, RandomUniverseInvariants) {
+  // Random universes (see RandomSchemas). Invariants:
+  //  (1) output schema is well-formed;
+  //  (2) every non-constraint GA has >= 2 attributes and quality >= θ;
+  //  (3) overall quality equals the mean of per-GA qualities;
+  //  (4) determinism: same inputs -> same output.
+  const uint64_t seed = GetParam();
+  Rng rng(seed);
+  MatchFixture f(RandomSchemas(&rng));
   const double theta = 0.6 + 0.3 * rng.UniformDouble();
   auto result = f.matcher.Match(f.AllSources(), Options(theta));
   ASSERT_TRUE(result.ok());
@@ -487,6 +496,344 @@ TEST_P(MatcherPropertyTest, RandomUniverseInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatcherPropertyTest,
                          ::testing::Range<uint64_t>(1, 21));
+
+// ------------------------------------------------------- reference oracle --
+
+// Algorithm 1 as the paper states it: every iteration scores every pair of
+// live clusters with At() under the requested linkage, then merges best
+// pair first. Slow but plainly faithful to §3; Matcher::Match, which reads
+// candidates off the θ-edges instead, must agree with it bit for bit.
+// Inputs are assumed valid.
+MatchResult ReferenceMatch(const Universe& u, const SimilaritySource& sim,
+                           const std::vector<uint32_t>& source_ids,
+                           const MatchOptions& options,
+                           const std::vector<uint32_t>& source_constraints,
+                           const MediatedSchema& ga_constraints) {
+  struct Cluster {
+    std::vector<size_t> attrs;      // global attribute indexes
+    std::vector<uint32_t> sources;  // sorted
+    bool keep = false;
+    bool merged = false;
+    bool merge_cand = false;
+  };
+  const auto linkage = [&](const Cluster& a, const Cluster& b) {
+    double best = 0.0;
+    double sum = 0.0;
+    for (size_t i : a.attrs) {
+      for (size_t j : b.attrs) {
+        best = std::max(best, sim.At(i, j));
+        sum += sim.At(i, j);
+      }
+    }
+    return options.linkage == ClusterLinkage::kMax
+               ? best
+               : sum / static_cast<double>(a.attrs.size() * b.attrs.size());
+  };
+
+  std::vector<Cluster> live;
+  std::vector<bool> in_g(u.total_attribute_count(), false);
+  for (const GlobalAttribute& g : ga_constraints.gas()) {
+    Cluster c;
+    c.keep = true;
+    for (const AttributeRef& ref : g.members()) {
+      c.attrs.push_back(u.GlobalAttrIndex(ref));
+      c.sources.push_back(ref.source_id);
+      in_g[u.GlobalAttrIndex(ref)] = true;
+    }
+    std::sort(c.sources.begin(), c.sources.end());
+    live.push_back(c);
+  }
+  for (uint32_t sid : source_ids) {
+    for (uint32_t a = 0; a < u.source(sid).attribute_count(); ++a) {
+      const size_t gidx = u.GlobalAttrIndex(AttributeRef(sid, a));
+      if (!in_g[gidx]) live.push_back(Cluster{{gidx}, {sid}});
+    }
+  }
+
+  std::vector<Cluster> finished;
+  for (bool again = true; again;) {
+    again = false;
+    for (Cluster& c : live) c.merged = c.merge_cand = false;
+    struct Pair {
+      double similarity;
+      size_t c1;
+      size_t c2;
+    };
+    std::vector<Pair> pairs;
+    for (size_t i = 0; i < live.size(); ++i) {
+      for (size_t j = i + 1; j < live.size(); ++j) {
+        const double s = linkage(live[i], live[j]);
+        if (s >= options.theta) pairs.push_back({s, i, j});
+      }
+    }
+    // Best first; ties toward the smaller cluster ids.
+    std::sort(pairs.begin(), pairs.end(), [](const Pair& a, const Pair& b) {
+      if (a.similarity != b.similarity) return a.similarity > b.similarity;
+      return std::make_pair(a.c1, a.c2) < std::make_pair(b.c1, b.c2);
+    });
+    std::vector<Cluster> born;
+    for (const Pair& p : pairs) {
+      Cluster& c1 = live[p.c1];
+      Cluster& c2 = live[p.c2];
+      if (!c1.merged && !c2.merged) {
+        const bool disjoint = std::none_of(
+            c1.sources.begin(), c1.sources.end(), [&](uint32_t s) {
+              return std::binary_search(c2.sources.begin(), c2.sources.end(),
+                                        s);
+            });
+        if (!disjoint) continue;
+        Cluster m;
+        m.keep = c1.keep || c2.keep;
+        m.attrs = c1.attrs;
+        m.attrs.insert(m.attrs.end(), c2.attrs.begin(), c2.attrs.end());
+        m.sources = c1.sources;
+        m.sources.insert(m.sources.end(), c2.sources.begin(),
+                         c2.sources.end());
+        std::sort(m.sources.begin(), m.sources.end());
+        c1.merged = c2.merged = true;
+        born.push_back(std::move(m));
+        again = true;
+      } else if (c1.merged != c2.merged) {
+        (c1.merged ? c2 : c1).merge_cand = true;
+        again = true;
+      }
+    }
+    std::vector<Cluster> next;
+    for (Cluster& c : live) {
+      if (c.merged) continue;
+      if (c.merge_cand || c.keep) {
+        next.push_back(std::move(c));
+      } else if (c.attrs.size() >= 2) {
+        finished.push_back(std::move(c));
+      }
+    }
+    for (Cluster& c : born) next.push_back(std::move(c));
+    live = std::move(next);
+  }
+  for (Cluster& c : live) {
+    if (c.keep || c.attrs.size() >= 2) finished.push_back(std::move(c));
+  }
+
+  MatchResult result;
+  for (const Cluster& c : finished) {
+    if (!c.keep && c.attrs.size() < std::max<size_t>(options.beta, 2)) {
+      continue;
+    }
+    std::vector<AttributeRef> refs;
+    double quality = 0.0;
+    for (size_t i = 0; i < c.attrs.size(); ++i) {
+      refs.push_back(u.RefFromGlobalIndex(c.attrs[i]));
+      for (size_t j = i + 1; j < c.attrs.size(); ++j) {
+        quality = std::max(quality, sim.At(c.attrs[i], c.attrs[j]));
+      }
+    }
+    result.schema.Add(GlobalAttribute(std::move(refs)));
+    result.ga_quality.push_back(quality);
+  }
+  result.feasible = result.schema.IsValidOn(source_constraints);
+  if (!result.feasible) return MatchResult{};
+  double sum = 0.0;
+  for (double q : result.ga_quality) sum += q;
+  if (!result.ga_quality.empty()) {
+    result.quality = sum / static_cast<double>(result.ga_quality.size());
+  }
+  return result;
+}
+
+class MatcherOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MatcherOracleTest, AgreesBitwiseWithPairwiseReference) {
+  Rng rng(GetParam());
+  MatchFixture f(RandomSchemas(&rng));
+  const double theta = 0.6 + 0.3 * rng.UniformDouble();
+  // The sparse index's floor (0.5) is below every theta drawn here.
+  const SparseSimilarityIndex sparse(f.universe, f.measure);
+  ASSERT_LE(sparse.neighbor_floor(), theta);
+
+  // S: a shuffled subset of at least two sources (shuffled so the
+  // matcher's sorting of A_S is exercised).
+  std::vector<uint32_t> s = f.AllSources();
+  rng.Shuffle(&s);
+  s.resize(2 + rng.Uniform(s.size() - 1));
+
+  // Random constraints: C is one or two sources of S; G is up to three
+  // GAs, each taking one random attribute from distinct sources of S.
+  std::vector<uint32_t> c(s.begin(), s.begin() + 1 + rng.Uniform(2));
+  std::vector<uint32_t> g_sources = s;
+  rng.Shuffle(&g_sources);
+  MediatedSchema g;
+  for (size_t next = 0; g.size() < 3 && next + 1 < g_sources.size();) {
+    std::vector<AttributeRef> members;
+    const size_t width = 1 + rng.Uniform(3);
+    for (size_t k = 0; k < width && next < g_sources.size(); ++k, ++next) {
+      const uint32_t sid = g_sources[next];
+      members.emplace_back(
+          sid, static_cast<uint32_t>(rng.Uniform(
+                   f.universe.source(sid).attribute_count())));
+    }
+    g.Add(GlobalAttribute(std::move(members)));
+  }
+
+  struct Backend {
+    const char* name;
+    const SimilaritySource* sim;
+  };
+  for (const Backend& backend :
+       {Backend{"dense", &f.matrix}, Backend{"sparse", &sparse}}) {
+    const Matcher matcher(f.universe, *backend.sim);
+    for (const ClusterLinkage linkage :
+         {ClusterLinkage::kMax, ClusterLinkage::kAverage}) {
+      for (const bool constrained : {false, true}) {
+        MatchOptions options = Options(theta);
+        options.linkage = linkage;
+        const std::vector<uint32_t> cs =
+            constrained ? c : std::vector<uint32_t>{};
+        const MediatedSchema gs = constrained ? g : MediatedSchema();
+        const std::string what =
+            std::string(backend.name) +
+            (linkage == ClusterLinkage::kMax ? " max" : " average") +
+            (constrained ? " C+G" : "");
+        auto have = matcher.Match(s, options, cs, gs);
+        ASSERT_TRUE(have.ok()) << what << ": " << have.status().ToString();
+        const MatchResult want =
+            ReferenceMatch(f.universe, *backend.sim, s, options, cs, gs);
+        const MatchResult& m = have.ValueOrDie();
+        EXPECT_EQ(m.feasible, want.feasible) << what;
+        EXPECT_EQ(m.schema, want.schema) << what;
+        EXPECT_EQ(m.ga_quality, want.ga_quality) << what;
+        EXPECT_EQ(m.quality, want.quality) << what;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MatcherOracleTest,
+                         ::testing::Range<uint64_t>(1, 21));
+
+TEST(ThetaEdgesTest, EachPairInsideTheSubsetOnce) {
+  Rng rng(7);
+  MatchFixture f(RandomSchemas(&rng));
+  std::vector<uint32_t> attrs;
+  for (uint32_t i = 0; i < f.matrix.attribute_count(); ++i) {
+    if (rng.Bernoulli(0.7)) attrs.push_back(i);
+  }
+  const std::vector<ThetaEdge> edges = ThetaEdgesWithin(f.matrix, attrs, 0.6);
+  std::vector<ThetaEdge> want;
+  for (uint32_t a = 0; a < attrs.size(); ++a) {
+    for (uint32_t b = a + 1; b < attrs.size(); ++b) {
+      const double sim = f.matrix.At(attrs[a], attrs[b]);
+      if (sim >= 0.6) want.push_back({a, b, static_cast<float>(sim)});
+    }
+  }
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(edges.size(), want.size());
+  for (size_t k = 0; k < edges.size(); ++k) {
+    EXPECT_EQ(edges[k].a, want[k].a);
+    EXPECT_EQ(edges[k].b, want[k].b);
+    EXPECT_EQ(edges[k].similarity, want[k].similarity);
+  }
+}
+
+// ------------------------------------------------------ similarity reads --
+
+// Forwards every query to `inner` and counts neighbor_floor() calls and
+// neighbor enumerations per attribute.
+class CountingSource : public SimilaritySource {
+ public:
+  explicit CountingSource(const SimilaritySource& inner) : inner_(inner) {}
+
+  double At(size_t i, size_t j) const override { return inner_.At(i, j); }
+  size_t attribute_count() const override { return inner_.attribute_count(); }
+  double MaxSimilarityOf(size_t i) const override {
+    return inner_.MaxSimilarityOf(i);
+  }
+  void ForEachNeighborAtLeast(size_t i, double theta,
+                              const NeighborFn& fn) const override {
+    ++enumerations[i];
+    inner_.ForEachNeighborAtLeast(i, theta, fn);
+  }
+  double neighbor_floor() const override {
+    ++floor_calls;
+    return inner_.neighbor_floor();
+  }
+  void Rebuild(const Universe&, const SimilarityMeasure&, unsigned) override {
+    ADD_FAILURE() << "CountingSource is read-only";
+  }
+  void ApplyChurn(const Universe&, const SimilarityMeasure&,
+                  const std::vector<uint32_t>&, unsigned) override {
+    ADD_FAILURE() << "CountingSource is read-only";
+  }
+  std::unique_ptr<SimilaritySource> CloneSource() const override {
+    return inner_.CloneSource();
+  }
+  size_t MemoryBytes() const override { return inner_.MemoryBytes(); }
+  size_t last_measure_calls() const override {
+    return inner_.last_measure_calls();
+  }
+
+  void Reset() {
+    floor_calls = 0;
+    enumerations.clear();
+  }
+
+  mutable int floor_calls = 0;
+  mutable std::map<size_t, int> enumerations;  // attribute -> calls
+
+ private:
+  const SimilaritySource& inner_;
+};
+
+// A_S of the read-budget tests: the ChainedMergesAcrossIterations chain
+// (two merge iterations) plus off-θ attributes, and a source outside S.
+struct ReadBudgetFixture {
+  ReadBudgetFixture()
+      : f({{"keyword", "zebra"},
+           {"keywords"},
+           {"keyword"},
+           {"keywords", "quux"},
+           {"keyword"}}),
+        counting(f.matrix) {
+    for (uint32_t sid : s) {
+      for (uint32_t a = 0; a < f.universe.source(sid).attribute_count();
+           ++a) {
+        once[f.universe.GlobalAttrIndex(AttributeRef(sid, a))] = 1;
+      }
+    }
+  }
+
+  MatchFixture f;
+  CountingSource counting;
+  const std::vector<uint32_t> s = {3, 1, 0, 2};  // source 4 stays out
+  std::map<size_t, int> once;  // every attribute of S, enumerated once
+};
+
+TEST(MatchReadBudgetTest, OneEnumerationPerAttributeOfS) {
+  ReadBudgetFixture r;
+  const Matcher matcher(r.f.universe, r.counting);
+  for (const ClusterLinkage linkage :
+       {ClusterLinkage::kMax, ClusterLinkage::kAverage}) {
+    MatchOptions options = Options(0.8);
+    options.linkage = linkage;
+    r.counting.Reset();
+    auto result = matcher.Match(r.s, options);
+    ASSERT_TRUE(result.ok());
+    // The chain really took two merge iterations: all four "keyword*"
+    // attributes ended up in one GA.
+    ASSERT_EQ(result.ValueOrDie().schema.size(), 1u);
+    EXPECT_EQ(result.ValueOrDie().schema.ga(0).size(), 4u);
+    EXPECT_EQ(r.counting.floor_calls, 1);
+    EXPECT_EQ(r.counting.enumerations, r.once);
+  }
+}
+
+TEST(MatchReadBudgetTest, NaiveMatcherSharesTheBudget) {
+  ReadBudgetFixture r;
+  const NaiveMatchResult naive =
+      NaiveComponentsMatch(r.f.universe, r.counting, r.s, 0.8);
+  ASSERT_EQ(naive.schema.size(), 1u);
+  EXPECT_EQ(r.counting.floor_calls, 1);
+  EXPECT_EQ(r.counting.enumerations, r.once);
+}
 
 }  // namespace
 }  // namespace mube
