@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -134,6 +135,54 @@ inline RunSpec MakeRunSpec(const GeneratedUniverse& generated,
   spec.max_evaluations = std::max<size_t>(
       200, base_budget * free_slots / std::max<size_t>(1, num_chosen));
   return spec;
+}
+
+/// One flat JSON object of a BENCH_*.json artifact: keys in output order,
+/// values already rendered by JsonBool / JsonString / JsonNumber (or
+/// std::to_string for integers).
+using JsonFields = std::vector<std::pair<std::string, std::string>>;
+
+inline std::string JsonBool(bool value) { return value ? "true" : "false"; }
+
+/// A string value. Bench names are plain identifiers: nothing is escaped.
+inline std::string JsonString(const std::string& value) {
+  return "\"" + value + "\"";
+}
+
+/// A number rendered with a printf format such as "%.3f".
+inline std::string JsonNumber(double value, const char* format) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), format, value);
+  return buf;
+}
+
+/// The one BENCH_*.json writer: `{scalars..., "<array_key>": [rows...]}`
+/// with one row object per line. Returns false, after saying why on
+/// stderr, when the file cannot be written; benches then exit non-zero.
+inline bool WriteBenchJson(const std::string& path, const JsonFields& scalars,
+                           const std::string& array_key,
+                           const std::vector<JsonFields>& rows) {
+  std::string text = "{\n";
+  for (const auto& [key, value] : scalars) {
+    text += "  \"" + key + "\": " + value + ",\n";
+  }
+  text += "  \"" + array_key + "\": [\n";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    text += "    {";
+    for (size_t k = 0; k < rows[i].size(); ++k) {
+      if (k > 0) text += ", ";
+      text += "\"" + rows[i][k].first + "\": " + rows[i][k].second;
+    }
+    text += i + 1 < rows.size() ? "},\n" : "}\n";
+  }
+  text += "  ]\n}\n";
+
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  bool ok = f != nullptr &&
+            std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (f != nullptr) ok = (std::fclose(f) == 0) && ok;
+  if (!ok) std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return ok;
 }
 
 /// Prints an aligned header + separator.

@@ -391,30 +391,25 @@ GateSection GramSimilarityGate(bool quick, bool enforce_bars) {
   return section;
 }
 
-void WriteGateJson(const std::vector<GateSection>& sections, bool quick,
+bool WriteGateJson(const std::vector<GateSection>& sections, bool quick,
                    bool enforce_bars) {
-  std::FILE* f = std::fopen("BENCH_raw_speed.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "raw_speed_gate: cannot write BENCH_raw_speed.json\n");
-    return;
+  std::vector<bench::JsonFields> rows;
+  for (const GateSection& s : sections) {
+    rows.push_back({{"name", bench::JsonString(s.name)},
+                    {"ref_ms", bench::JsonNumber(s.ref_ms, "%.4f")},
+                    {"opt_ms", bench::JsonNumber(s.opt_ms, "%.4f")},
+                    {"speedup", bench::JsonNumber(s.speedup, "%.3f")},
+                    {"bar", bench::JsonNumber(s.bar, "%.2f")},
+                    {"bar_enforced", bench::JsonBool(s.bar_enforced)},
+                    {"bit_identical", bench::JsonBool(s.bit_identical)},
+                    {"pass", bench::JsonBool(s.pass)}});
   }
-  std::fprintf(f, "{\n  \"quick\": %s,\n  \"simd_mode\": \"%s\",\n",
-               quick ? "true" : "false",
-               enforce_bars ? "vector" : "reference");
-  std::fprintf(f, "  \"sections\": [\n");
-  for (size_t i = 0; i < sections.size(); ++i) {
-    const GateSection& s = sections[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"ref_ms\": %.4f, \"opt_ms\": %.4f, "
-                 "\"speedup\": %.3f, \"bar\": %.2f, \"bar_enforced\": %s, "
-                 "\"bit_identical\": %s, \"pass\": %s}%s\n",
-                 s.name, s.ref_ms, s.opt_ms, s.speedup, s.bar,
-                 s.bar_enforced ? "true" : "false",
-                 s.bit_identical ? "true" : "false", s.pass ? "true" : "false",
-                 i + 1 < sections.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  return bench::WriteBenchJson(
+      "BENCH_raw_speed.json",
+      {{"quick", bench::JsonBool(quick)},
+       {"simd_mode",
+        bench::JsonString(enforce_bars ? "vector" : "reference")}},
+      "sections", rows);
 }
 
 /// Runs all gate sections; returns 0 iff every section passed.
@@ -432,9 +427,7 @@ int RunRawSpeedGate() {
   std::vector<GateSection> sections;
   sections.push_back(SketchUnionGate(quick, enforce_bars));
   sections.push_back(GramSimilarityGate(quick, enforce_bars));
-  WriteGateJson(sections, quick, enforce_bars);
-
-  bool all_pass = true;
+  bool all_pass = WriteGateJson(sections, quick, enforce_bars);
   std::printf("raw_speed_gate (%s%s):\n", quick ? "quick" : "full",
               enforce_bars ? "" : ", MUBE_SIMD=off: bars not enforced");
   for (const GateSection& s : sections) {

@@ -273,37 +273,31 @@ int main() {
                 b.name, b.value, b.lower_is_better ? "<=" : ">=", b.bar);
   }
 
-  std::FILE* f = std::fopen("BENCH_universe_scale.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"quick\": %s,\n", quick ? "true" : "false");
-    std::fprintf(f, "  \"num_sources\": %zu,\n  \"num_attrs\": %zu,\n",
-                 kFullSources, full_attrs);
-    std::fprintf(f, "  \"sparse_build_seconds\": %.3f,\n", sparse_seconds);
-    std::fprintf(f, "  \"dense_seconds_extrapolated\": %.1f,\n",
-                 dense_seconds_extrapolated);
-    std::fprintf(f, "  \"index_bytes\": %zu,\n  \"rss_bytes\": %zu,\n",
-                 index.MemoryBytes(), rss_bytes);
-    std::fprintf(f, "  \"candidate_pairs\": %llu,\n",
-                 static_cast<unsigned long long>(stats.candidate_pairs));
-    std::fprintf(f, "  \"stored_pairs\": %llu,\n",
-                 static_cast<unsigned long long>(stats.stored_pairs));
-    std::fprintf(f, "  \"dense_comparable_pairs\": %.0f,\n", comparable);
-    std::fprintf(f, "  \"recall\": %.6f,\n  \"run_quality\": %.4f,\n",
-                 recall, run_quality);
-    std::fprintf(f, "  \"bars\": [\n");
-    for (size_t i = 0; i < bars.size(); ++i) {
-      std::fprintf(
-          f,
-          "    {\"name\": \"%s\", \"value\": %.6g, \"bar\": %g, "
-          "\"cmp\": \"%s\", \"pass\": %s}%s\n",
-          bars[i].name, bars[i].value, bars[i].bar,
-          bars[i].lower_is_better ? "<=" : ">=",
-          bars[i].pass ? "true" : "false", i + 1 < bars.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+  std::vector<JsonFields> bar_rows;
+  for (const Bar& b : bars) {
+    bar_rows.push_back({{"name", JsonString(b.name)},
+                        {"value", JsonNumber(b.value, "%.6g")},
+                        {"bar", JsonNumber(b.bar, "%g")},
+                        {"cmp", JsonString(b.lower_is_better ? "<=" : ">=")},
+                        {"pass", JsonBool(b.pass)}});
   }
+  const bool written = WriteBenchJson(
+      "BENCH_universe_scale.json",
+      {{"quick", JsonBool(quick)},
+       {"num_sources", std::to_string(kFullSources)},
+       {"num_attrs", std::to_string(full_attrs)},
+       {"sparse_build_seconds", JsonNumber(sparse_seconds, "%.3f")},
+       {"dense_seconds_extrapolated",
+        JsonNumber(dense_seconds_extrapolated, "%.1f")},
+       {"index_bytes", std::to_string(index.MemoryBytes())},
+       {"rss_bytes", std::to_string(rss_bytes)},
+       {"candidate_pairs", std::to_string(stats.candidate_pairs)},
+       {"stored_pairs", std::to_string(stats.stored_pairs)},
+       {"dense_comparable_pairs", JsonNumber(comparable, "%.0f")},
+       {"recall", JsonNumber(recall, "%.6f")},
+       {"run_quality", JsonNumber(run_quality, "%.4f")}},
+      "bars", bar_rows);
 
   std::printf("universe_1e5: %s\n", all_pass ? "ALL BARS PASS" : "BAR FAILED");
-  return all_pass ? 0 : 1;
+  return all_pass && written ? 0 : 1;
 }

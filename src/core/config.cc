@@ -65,6 +65,15 @@ Status MubeConfig::Validate() const {
   if (max_sources == 0) {
     return Status::InvalidArgument("MubeConfig: max_sources must be >= 1");
   }
+  if (!(sparse_options.index_theta > 0.0 &&
+        sparse_options.index_theta <= 1.0)) {
+    return Status::InvalidArgument(
+        "MubeConfig: sparse_options.index_theta must be in (0,1]");
+  }
+  if (sparse_options.minhash_bands == 0 || sparse_options.band_rows == 0) {
+    return Status::InvalidArgument(
+        "MubeConfig: sparse_options.minhash_bands and band_rows must be >= 1");
+  }
   return pcsa.Validate();
 }
 

@@ -96,7 +96,7 @@ struct MubeConfig {
   /// redundancy .15, MTTF(wsum) .15; θ = 0.75; tabu search.
   static MubeConfig PaperDefaults();
 
-  /// Checks weights, θ range, and m.
+  /// Checks weights, θ range, m, and the sparse-index options.
   Status Validate() const;
 
   /// Weights in QEF order (convenience for SetWeights-style updates).

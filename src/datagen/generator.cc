@@ -121,10 +121,10 @@ Status GeneratorConfig::Validate() const {
     return Status::InvalidArgument(
         "specialty_tuples_max exceeds the Specialty pool");
   }
-  if (cooperative_fraction < 0.0 || cooperative_fraction > 1.0) {
+  if (!(cooperative_fraction >= 0.0 && cooperative_fraction <= 1.0)) {
     return Status::InvalidArgument("cooperative_fraction must be in [0,1]");
   }
-  if (zipf_skew <= 0.0) {
+  if (!(zipf_skew > 0.0)) {
     return Status::InvalidArgument("zipf_skew must be > 0");
   }
   return Status::OK();

@@ -28,7 +28,7 @@ Result<std::unique_ptr<MubeService>> MubeService::Create(
     return Status::InvalidArgument(
         "ServiceOptions: queue_capacity and max_batch must be >= 1");
   }
-  if (options.degrade_threshold_ms < 0.0) {
+  if (!(options.degrade_threshold_ms >= 0.0)) {
     return Status::InvalidArgument(
         "ServiceOptions: degrade_threshold_ms must be >= 0");
   }

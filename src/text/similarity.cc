@@ -227,7 +227,7 @@ Result<std::unique_ptr<CompositeSimilarity>> CompositeSimilarity::Make(
     if (measures[i] == nullptr) {
       return Status::InvalidArgument("composite measure: null member");
     }
-    if (weights[i] <= 0.0) {
+    if (!(weights[i] > 0.0)) {
       return Status::InvalidArgument(
           "composite measure: weights must be positive");
     }

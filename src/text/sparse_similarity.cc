@@ -13,13 +13,23 @@ namespace mube {
 
 namespace {
 
-/// Comparable pairs a dense build would score: live cross-source pairs,
-/// each once. L·(L−1)/2 minus the same-source pairs.
-uint64_t ComparablePairCount(const std::vector<uint32_t>& live_per_source,
-                             uint64_t live_total) {
+/// Cross-source pairs among the attributes with `keep[i]` set, each once:
+/// K·(K−1)/2 minus the same-source pairs.
+uint64_t ComparablePairCount(const std::vector<uint32_t>& source_of,
+                             const std::vector<char>& keep) {
+  std::vector<uint64_t> per_source;
+  uint64_t total = 0;
+  for (size_t i = 0; i < source_of.size(); ++i) {
+    if (!keep[i]) continue;
+    if (source_of[i] >= per_source.size()) {
+      per_source.resize(source_of[i] + 1, 0);
+    }
+    ++per_source[source_of[i]];
+    ++total;
+  }
   uint64_t same = 0;
-  for (uint64_t c : live_per_source) same += c * (c - (c > 0 ? 1 : 0)) / 2;
-  return live_total * (live_total - (live_total > 0 ? 1 : 0)) / 2 - same;
+  for (uint64_t c : per_source) same += c * (c - (c > 0 ? 1 : 0)) / 2;
+  return total * (total - (total > 0 ? 1 : 0)) / 2 - same;
 }
 
 }  // namespace
@@ -246,7 +256,7 @@ void SparseSimilarityIndex::GenerateCandidates(
 }
 
 std::vector<SparseSimilarityIndex::RowEntry> SparseSimilarityIndex::VerifyRow(
-    size_t i, bool only_greater, const std::vector<char>* skip,
+    size_t i, bool only_greater, const std::vector<char>& recompute,
     std::vector<uint32_t>& stamps, uint32_t& stamp_counter,
     std::vector<uint32_t>& cand_scratch, uint64_t& candidate_count,
     uint64_t& measure_calls) const {
@@ -255,9 +265,9 @@ std::vector<SparseSimilarityIndex::RowEntry> SparseSimilarityIndex::VerifyRow(
   cand_scratch.clear();
   GenerateCandidates(i, only_greater, stamps, ++stamp_counter, cand_scratch);
   for (uint32_t j : cand_scratch) {
-    // Churn dedup: a pair with both rows being re-verified is scored once,
-    // by the smaller-indexed row; the other row gets it mirrored back.
-    if (skip != nullptr && j < i && (*skip)[j]) continue;
+    // A pair with both rows being re-verified is scored once, by the
+    // smaller-indexed row; the other row gets it mirrored back.
+    if (j < i && recompute[j]) continue;
     ++candidate_count;
     const double sim = ExactPair(i, j);
     ++measure_calls;
@@ -271,21 +281,6 @@ std::vector<SparseSimilarityIndex::RowEntry> SparseSimilarityIndex::VerifyRow(
               return a.attr < b.attr;
             });
   return out;
-}
-
-void SparseSimilarityIndex::CapRow(std::vector<RowEntry>& row) const {
-  if (options_.max_neighbors == 0 || row.size() <= options_.max_neighbors) {
-    return;
-  }
-  std::sort(row.begin(), row.end(), [](const RowEntry& a, const RowEntry& b) {
-    if (a.sim != b.sim) return a.sim > b.sim;
-    return a.attr < b.attr;
-  });
-  row.resize(options_.max_neighbors);
-  std::sort(row.begin(), row.end(),
-            [](const RowEntry& a, const RowEntry& b) {
-              return a.attr < b.attr;
-            });
 }
 
 void SparseSimilarityIndex::AssembleRows(
@@ -318,97 +313,18 @@ void SparseSimilarityIndex::AssembleRows(
 void SparseSimilarityIndex::Rebuild(const Universe& universe,
                                     const SimilarityMeasure& measure,
                                     unsigned threads) {
-  MUBE_CHECK(measure.SupportsPreparedTokens());
-  measure_ = &measure;
-  use_counts_ = measure.SupportsSetCounts();
-
-  n_ = universe.total_attribute_count();
-  source_of_.assign(n_, 0);
-  live_.assign(n_, 0);
-  tokens_.assign(n_, {});
-  band_keys_.assign(n_ * options_.minhash_bands, kNoBandKey);
-  RefreshAttributes(universe, measure, std::vector<char>(n_, 1));
-
-  threads = ResolveThreadCount(threads);
-  threads = std::min<unsigned>(
-      threads, static_cast<unsigned>(std::max<size_t>(1, n_ / 2)));
-
-  // Worker t verifies rows t, t+T, ... into disjoint slots; per-worker
-  // tallies merge in fixed order afterwards, so the result is bit-identical
-  // at any thread count (each row's computation is self-contained).
-  std::vector<std::vector<RowEntry>> half(n_);
-  std::vector<uint64_t> worker_candidates(threads, 0);
-  std::vector<uint64_t> worker_calls(threads, 0);
-  {
-    ThreadPool pool(threads);
-    pool.ParallelFor(threads, [&](size_t t) {
-      std::vector<uint32_t> stamps(n_, 0);
-      uint32_t stamp_counter = 0;
-      std::vector<uint32_t> cand;
-      for (size_t i = t; i < n_; i += threads) {
-        half[i] = VerifyRow(i, /*only_greater=*/true, nullptr, stamps,
-                            stamp_counter, cand, worker_candidates[t],
-                            worker_calls[t]);
-      }
-    });
-  }
-
-  // Expand the each-pair-once half rows into full symmetric rows. Mirrors
-  // (partners < i) land first in ascending order, own entries (partners
-  // > i) after — already sorted, no per-row sort needed.
-  std::vector<size_t> degree(n_, 0);
-  for (size_t i = 0; i < n_; ++i) {
-    degree[i] += half[i].size();
-    for (const RowEntry& e : half[i]) ++degree[e.attr];
-  }
-  std::vector<std::vector<RowEntry>> full(n_);
-  for (size_t i = 0; i < n_; ++i) full[i].reserve(degree[i]);
-  for (size_t i = 0; i < n_; ++i) {
-    for (const RowEntry& e : half[i]) {
-      full[e.attr].push_back(RowEntry{static_cast<uint32_t>(i), e.sim});
-    }
-  }
-  for (size_t i = 0; i < n_; ++i) {
-    for (const RowEntry& e : half[i]) full[i].push_back(e);
-    half[i].clear();
-    half[i].shrink_to_fit();
-  }
-  if (options_.max_neighbors > 0) {
-    for (std::vector<RowEntry>& row : full) CapRow(row);
-  }
-  AssembleRows(full);
-
-  last_measure_calls_ = 0;
-  stats_.candidate_pairs = 0;
-  for (unsigned t = 0; t < threads; ++t) {
-    stats_.candidate_pairs += worker_candidates[t];
-    last_measure_calls_ += worker_calls[t];
-  }
-  std::vector<uint32_t> live_per_source;
-  uint64_t live_total = 0;
-  for (size_t i = 0; i < n_; ++i) {
-    if (!live_[i]) continue;
-    if (source_of_[i] >= live_per_source.size()) {
-      live_per_source.resize(source_of_[i] + 1, 0);
-    }
-    ++live_per_source[source_of_[i]];
-    ++live_total;
-  }
-  const uint64_t comparable = ComparablePairCount(live_per_source, live_total);
-  stats_.pruned_pairs = comparable > stats_.candidate_pairs
-                            ? comparable - stats_.candidate_pairs
-                            : 0;
+  // The churn splice over an empty index: every attribute is appended, so
+  // every row is dirty (as SimilarityMatrix::Rebuild is Recompute with
+  // every attribute dirty).
+  SparseSimilarityIndex empty;
+  empty.options_ = options_;
+  *this = std::move(empty);
+  ApplyChurn(universe, measure, /*dirty_sources=*/{}, threads);
 }
 
 void SparseSimilarityIndex::ApplyChurn(
     const Universe& universe, const SimilarityMeasure& measure,
     const std::vector<uint32_t>& dirty_sources, unsigned threads) {
-  if (options_.max_neighbors > 0) {
-    // Capped rows drop entries non-locally (a new high-scoring neighbor
-    // evicts an old one), so splicing cannot reproduce Rebuild() exactly.
-    Rebuild(universe, measure, threads);
-    return;
-  }
   MUBE_CHECK(measure.SupportsPreparedTokens());
   measure_ = &measure;
   use_counts_ = measure.SupportsSetCounts();
@@ -482,12 +398,18 @@ void SparseSimilarityIndex::ApplyChurn(
   for (size_t i = 0; i < n_; ++i) {
     if (recompute[i]) recompute_rows.push_back(i);
   }
+  // With every row re-verified, each pair is scored by its smaller row, so
+  // the candidate scan can skip partners below i outright.
+  const bool only_greater = recompute_rows.size() == n_;
 
   threads = ResolveThreadCount(threads);
   threads = std::min<unsigned>(
       threads,
       static_cast<unsigned>(std::max<size_t>(1, recompute_rows.size())));
 
+  // Worker t verifies rows t, t+T, ... into disjoint slots; per-worker
+  // tallies merge in fixed order afterwards, so the result is bit-identical
+  // at any thread count (each row's computation is self-contained).
   std::vector<std::vector<RowEntry>> rows(n_);
   std::vector<uint64_t> worker_candidates(threads, 0);
   std::vector<uint64_t> worker_calls(threads, 0);
@@ -499,9 +421,8 @@ void SparseSimilarityIndex::ApplyChurn(
       std::vector<uint32_t> cand;
       for (size_t r = t; r < recompute_rows.size(); r += threads) {
         const size_t i = recompute_rows[r];
-        rows[i] = VerifyRow(i, /*only_greater=*/false, &recompute, stamps,
-                            stamp_counter, cand, worker_candidates[t],
-                            worker_calls[t]);
+        rows[i] = VerifyRow(i, only_greater, recompute, stamps, stamp_counter,
+                            cand, worker_candidates[t], worker_calls[t]);
       }
     });
   }
@@ -521,26 +442,29 @@ void SparseSimilarityIndex::ApplyChurn(
   }
 
   // Mirror the re-verified entries into their partners' rows: clean
-  // partners gain/replace their edge toward the recomputed attribute;
-  // the skipped (both-recomputed, j < i) halves are restored symmetrically.
-  std::vector<char> touched(n_, 0);
-  std::vector<size_t> verified_len(n_, 0);
-  for (size_t i : recompute_rows) verified_len[i] = rows[i].size();
+  // partners gain/replace their edge toward the recomputed attribute; a
+  // both-recomputed pair, scored by its smaller row, is restored in the
+  // larger. Every row is then two ascending runs — its own entries, then
+  // mirrors in ascending partner order — so one merge sorts it.
+  std::vector<size_t> own_len(n_);
+  std::vector<size_t> mirrors(n_, 0);
+  for (size_t i = 0; i < n_; ++i) own_len[i] = rows[i].size();
   for (size_t i : recompute_rows) {
-    for (size_t k = 0; k < verified_len[i]; ++k) {
+    for (const RowEntry& e : rows[i]) ++mirrors[e.attr];
+  }
+  for (size_t i = 0; i < n_; ++i) rows[i].reserve(own_len[i] + mirrors[i]);
+  for (size_t i : recompute_rows) {
+    for (size_t k = 0; k < own_len[i]; ++k) {
       const RowEntry& e = rows[i][k];
-      const size_t j = e.attr;
-      if (recompute[j] && j < i) continue;  // that row mirrors into us
-      rows[j].push_back(RowEntry{static_cast<uint32_t>(i), e.sim});
-      touched[j] = 1;
+      rows[e.attr].push_back(RowEntry{static_cast<uint32_t>(i), e.sim});
     }
   }
   for (size_t i = 0; i < n_; ++i) {
-    if (!touched[i] && !recompute[i]) continue;
-    std::sort(rows[i].begin(), rows[i].end(),
-              [](const RowEntry& a, const RowEntry& b) {
-                return a.attr < b.attr;
-              });
+    std::inplace_merge(rows[i].begin(), rows[i].begin() + own_len[i],
+                       rows[i].end(),
+                       [](const RowEntry& a, const RowEntry& b) {
+                         return a.attr < b.attr;
+                       });
   }
   AssembleRows(rows);
 
@@ -550,25 +474,12 @@ void SparseSimilarityIndex::ApplyChurn(
     stats_.candidate_pairs += worker_candidates[t];
     last_measure_calls_ += worker_calls[t];
   }
-  std::vector<uint32_t> live_per_source;
-  uint64_t live_total = 0;
-  for (size_t i = 0; i < n_; ++i) {
-    if (!live_[i]) continue;
-    if (source_of_[i] >= live_per_source.size()) {
-      live_per_source.resize(source_of_[i] + 1, 0);
-    }
-    ++live_per_source[source_of_[i]];
-    ++live_total;
-  }
-  // Per recomputed row, the partners a dense incremental pass would score.
-  uint64_t possible = 0;
-  for (size_t i : recompute_rows) {
-    if (!live_[i]) continue;
-    possible += live_total - live_per_source[source_of_[i]];
-  }
-  stats_.pruned_pairs = possible > stats_.candidate_pairs
-                            ? possible - stats_.candidate_pairs
-                            : 0;
+  // Comparable pairs with at least one re-verified endpoint, each once.
+  std::vector<char> live_clean(n_, 0);
+  for (size_t i = 0; i < n_; ++i) live_clean[i] = live_[i] && !recompute[i];
+  const uint64_t possible = ComparablePairCount(source_of_, live_) -
+                            ComparablePairCount(source_of_, live_clean);
+  stats_.pruned_pairs = possible - stats_.candidate_pairs;
 }
 
 }  // namespace mube

@@ -46,11 +46,13 @@
 /// ForEachNeighborAtLeast enumeration (bounded by the recall bar in
 /// bench/universe_1e5) and never in returned scores.
 ///
-/// Churn maintenance (ApplyChurn) re-verifies only rows whose coverage a
-/// fresh rebuild could change — attributes of dirty sources, plus
-/// attributes whose gram df or LSH bucket crossed a pruning cap — and
-/// splices the result into the untouched rows, bit-identical to Rebuild()
-/// on the mutated universe with measure calls proportional to the delta.
+/// Rows are built by one splice (ApplyChurn). It re-verifies only rows
+/// whose coverage a fresh build could change — attributes of dirty
+/// sources, plus attributes whose gram df or LSH bucket crossed a pruning
+/// cap — and splices the result into the untouched rows, with measure
+/// calls proportional to the delta. Rebuild() is that splice over an empty
+/// index, where every attribute is new and every row dirty, so churn is
+/// bit-identical to a rebuild on the mutated universe by construction.
 
 namespace mube {
 
@@ -78,13 +80,6 @@ struct SparseIndexOptions {
   /// LSH buckets larger than this are skipped (degenerate bands).
   size_t max_band_bucket = 128;
 
-  /// If > 0, each stored row keeps only the max_neighbors highest-scoring
-  /// entries (ties broken toward smaller ids). Capping bounds memory on
-  /// adversarial corpora but makes neighbor enumeration lossy below the
-  /// cap and disables incremental churn (ApplyChurn degrades to Rebuild).
-  /// 0 (default) = uncapped: every verified pair ≥ index_theta is stored.
-  size_t max_neighbors = 0;
-
   /// Seed for the minhash HashFamily; same seed → identical index.
   uint64_t seed = 0x6d756265ULL;  // "mube"
 };
@@ -95,9 +90,10 @@ struct SparseIndexStats {
   /// Unique candidate pairs generated and exactly verified by the last
   /// index operation (== its measure calls).
   uint64_t candidate_pairs = 0;
-  /// Comparable pairs the last operation skipped without scoring —
-  /// blocking's savings over dense. Exact for builds; for churn it counts
-  /// per recomputed row and may count a both-rows-recomputed pair twice.
+  /// Comparable pairs (live, cross-source) with at least one endpoint
+  /// re-verified by the last operation, each counted once, that were
+  /// skipped without scoring — blocking's savings over dense. After a
+  /// build this is every comparable pair minus candidate_pairs.
   uint64_t pruned_pairs = 0;
   /// Pairs currently stored (each counted once, not per direction).
   uint64_t stored_pairs = 0;
@@ -123,14 +119,14 @@ class SparseSimilarityIndex : public SimilaritySource {
                         SparseIndexOptions options = {},
                         unsigned threads = 1);
 
+  /// Resets the index and runs ApplyChurn with every row dirty.
   void Rebuild(const Universe& universe, const SimilarityMeasure& measure,
                unsigned threads = 1) override;
 
-  /// Bit-identical to Rebuild() on the mutated universe, at measure calls
-  /// proportional to the churn delta (rows of dirty sources, plus rows
-  /// whose gram-df / bucket-size pruning decisions flipped — those flips
-  /// are themselves caused by the delta). With max_neighbors > 0 capping
-  /// makes incremental splicing unsound, so this degrades to Rebuild().
+  /// The one row-building path. Bit-identical to Rebuild() on the mutated
+  /// universe, at measure calls proportional to the churn delta (rows of
+  /// dirty sources, plus rows whose gram-df / bucket-size pruning decisions
+  /// flipped — those flips are themselves caused by the delta).
   void ApplyChurn(const Universe& universe, const SimilarityMeasure& measure,
                   const std::vector<uint32_t>& dirty_sources,
                   unsigned threads = 1) override;
@@ -152,8 +148,8 @@ class SparseSimilarityIndex : public SimilaritySource {
   }
 
   /// Walks row i's stored neighbors (ascending id). Complete for theta ≥
-  /// neighbor_floor() up to candidate recall (the bench-enforced ≥ 0.999);
-  /// rows capped by max_neighbors may omit lower-scoring true neighbors.
+  /// neighbor_floor() up to candidate recall (the bench-enforced ≥ 0.999).
+  /// Rows are symmetric: j is in row i iff i is in row j, with one float.
   void ForEachNeighborAtLeast(size_t i, double theta,
                               const NeighborFn& fn) const override;
 
@@ -177,6 +173,8 @@ class SparseSimilarityIndex : public SimilaritySource {
   void set_measure(const SimilarityMeasure* measure) { measure_ = measure; }
 
  private:
+  SparseSimilarityIndex() = default;  // the empty index Rebuild starts from
+
   struct RowEntry {
     uint32_t attr;
     float sim;
@@ -199,25 +197,22 @@ class SparseSimilarityIndex : public SimilaritySource {
 
   /// Appends every candidate partner of `i` to `out` (deduplicated via the
   /// caller's stamp array, same-source/dead/empty filtered). only_greater
-  /// restricts to partners > i (the build path's each-pair-once order).
+  /// restricts to partners > i (enough when every row is re-verified).
   void GenerateCandidates(size_t i, bool only_greater,
                           std::vector<uint32_t>& stamps, uint32_t stamp,
                           std::vector<uint32_t>& out) const;
 
-  /// Verifies row i's candidates and returns its stored entries (sorted by
-  /// partner when sort_entries). skip[j] != 0 suppresses partners j < i
-  /// (churn's both-rows-recomputed dedup). Accumulates candidate/measure
-  /// tallies into the caller's counters.
+  /// Verifies row i's candidates and returns its stored entries sorted by
+  /// partner. Partners j < i with recompute[j] set are skipped (row j
+  /// scores that pair). Accumulates candidate/measure tallies into the
+  /// caller's counters.
   std::vector<RowEntry> VerifyRow(size_t i, bool only_greater,
-                                  const std::vector<char>* skip,
+                                  const std::vector<char>& recompute,
                                   std::vector<uint32_t>& stamps,
                                   uint32_t& stamp_counter,
                                   std::vector<uint32_t>& cand_scratch,
                                   uint64_t& candidate_count,
                                   uint64_t& measure_calls) const;
-
-  /// Applies the max_neighbors cap to one row (sim desc, id asc order).
-  void CapRow(std::vector<RowEntry>& row) const;
 
   /// Replaces the CSR rows from per-row entry lists and recomputes
   /// row_max_ and stats_.stored_pairs.

@@ -187,6 +187,36 @@ TEST_F(MubeEngineTest, NanFailsEveryRangeCheck) {
   }
 }
 
+// Bad sparse-index options are a config error, reported by Validate() and
+// by Create() with the sparse index selected — never a process abort.
+TEST_F(MubeEngineTest, BadSparseOptionsAreInvalidArgument) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* what;
+    std::function<void(SparseIndexOptions&)> edit;
+  };
+  const std::vector<Case> cases = {
+      {"index_theta 0", [](SparseIndexOptions& o) { o.index_theta = 0.0; }},
+      {"index_theta negative",
+       [](SparseIndexOptions& o) { o.index_theta = -0.25; }},
+      {"index_theta above 1",
+       [](SparseIndexOptions& o) { o.index_theta = 1.5; }},
+      {"index_theta NaN", [&](SparseIndexOptions& o) { o.index_theta = nan; }},
+      {"minhash_bands 0", [](SparseIndexOptions& o) { o.minhash_bands = 0; }},
+      {"band_rows 0", [](SparseIndexOptions& o) { o.band_rows = 0; }},
+  };
+  for (const Case& c : cases) {
+    MubeConfig config = FastConfig();
+    config.similarity_index = "sparse";
+    c.edit(config.sparse_options);
+    EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument)
+        << c.what;
+    EXPECT_EQ(Mube::Create(&generated_->universe, config).status().code(),
+              StatusCode::kInvalidArgument)
+        << c.what;
+  }
+}
+
 TEST_F(MubeEngineTest, UnconstrainedRunProducesFeasibleSolution) {
   auto result = mube_->Run(RunSpec());
   ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <unordered_set>
 
@@ -237,6 +238,15 @@ TEST(GeneratorTest, ConfigValidation) {
   GeneratorConfig bad_coop = SmallConfig();
   bad_coop.cooperative_fraction = 1.5;
   EXPECT_FALSE(bad_coop.Validate().ok());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  GeneratorConfig nan_coop = SmallConfig();
+  nan_coop.cooperative_fraction = nan;
+  EXPECT_FALSE(nan_coop.Validate().ok());
+
+  GeneratorConfig nan_skew = SmallConfig();
+  nan_skew.zipf_skew = nan;
+  EXPECT_FALSE(nan_skew.Validate().ok());
 }
 
 TEST(GeneratorTest, ProducesRequestedSourceCount) {

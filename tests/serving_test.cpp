@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -500,6 +501,27 @@ TEST(MubeServiceTest, FixedSeedStreamIsDeterministicPerEpoch) {
   // within each wave every repeated seed agreed — asserted above.
   EXPECT_EQ(epoch1.begin()->first.first, 1u);
   EXPECT_EQ(epoch0.begin()->first.first, 0u);
+}
+
+TEST(MubeServiceTest, CreateRejectsBadOptions) {
+  const auto create_with = [](void (*edit)(ServiceOptions&)) {
+    ServiceOptions options = SmallServiceOptions();
+    edit(options);
+    return MubeService::Create(SmallUniverse(), FastConfig(), options)
+        .status()
+        .code();
+  };
+  EXPECT_EQ(create_with([](ServiceOptions& o) { o.queue_capacity = 0; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(create_with([](ServiceOptions& o) { o.max_batch = 0; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      create_with([](ServiceOptions& o) { o.degrade_threshold_ms = -1.0; }),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(create_with([](ServiceOptions& o) {
+              o.degrade_threshold_ms = std::numeric_limits<double>::quiet_NaN();
+            }),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(MubeServiceTest, AdmissionControlRejectsWhenTheQueueIsFull) {

@@ -6,6 +6,7 @@
 // consumer (Matcher, naive matcher, Mube engine) produces identical output
 // on either implementation.
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -14,6 +15,8 @@
 #include "core/mube.h"
 #include "datagen/generator.h"
 #include "datagen/scale.h"
+#include "dynamic/churn.h"
+#include "dynamic/delta_universe.h"
 #include "gtest/gtest.h"
 #include "match/matcher.h"
 #include "match/naive_matcher.h"
@@ -103,6 +106,48 @@ TEST(SparseSimilarityTest, SameSourceAndDiagonalAreZero) {
                   {2, 0x3f800000u}, {3, 0x3f800000u}}));
 }
 
+/// Live cross-source attribute pairs (i, j) with at least one endpoint
+/// satisfying `dirty`, counted once each by brute force.
+template <typename Pred>
+uint64_t ComparablePairsTouching(const Universe& u, Pred dirty) {
+  const size_t n = u.total_attribute_count();
+  uint64_t count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t si = u.RefFromGlobalIndex(i).source_id;
+    if (!u.alive(si)) continue;
+    for (size_t j = i + 1; j < n; ++j) {
+      const uint32_t sj = u.RefFromGlobalIndex(j).source_id;
+      if (!u.alive(sj) || si == sj) continue;
+      if (dirty(i) || dirty(j)) ++count;
+    }
+  }
+  return count;
+}
+
+/// Checks `sparse` against a dense matrix built fresh on `u`: every stored
+/// row equals the dense row at the index floor bitwise, and rows are
+/// symmetric (j in row i iff i in row j, with the same float).
+void ExpectRowsMatchDenseOracle(const Universe& u,
+                                const SparseSimilarityIndex& sparse,
+                                const SimilarityMeasure& measure) {
+  const SimilarityMatrix dense(u, measure);
+  const double floor = sparse.neighbor_floor();
+  ASSERT_EQ(sparse.attribute_count(), u.total_attribute_count());
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> rows;
+  for (size_t i = 0; i < sparse.attribute_count(); ++i) {
+    rows.push_back(Row(sparse, i, floor));
+    ASSERT_EQ(rows.back(), Row(dense, i, floor)) << "row " << i;
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (const auto& [j, bits] : rows[i]) {
+      const std::pair<uint32_t, uint32_t> mirror(static_cast<uint32_t>(i),
+                                                 bits);
+      EXPECT_TRUE(std::binary_search(rows[j].begin(), rows[j].end(), mirror))
+          << "pair (" << i << ", " << j << ") is not symmetric";
+    }
+  }
+}
+
 TEST(SparseSimilarityTest, ApplyChurnBitIdenticalToFreshRebuild) {
   Universe u = BooksUniverse(40);
   NGramJaccard measure(3);
@@ -131,9 +176,58 @@ TEST(SparseSimilarityTest, ApplyChurnBitIdenticalToFreshRebuild) {
         << "row " << i;
     ASSERT_EQ(index.MaxSimilarityOf(i), rebuilt.MaxSimilarityOf(i));
   }
+  // Rebuild shares the splice, so also check against an independent oracle
+  // under the default pruning caps, where cap flips widen the re-verified
+  // rows.
+  ExpectRowsMatchDenseOracle(u, index, measure);
   // Incremental: the delta touched ~5 of 42 sources, so churn must cost
   // well under a rebuild.
   EXPECT_LT(churn_calls, rebuilt.last_measure_calls() / 2);
+}
+
+// An oracle that shares no code with the splice: after the build and after
+// rename, add, retire and tuple-update churn, the rows equal a fresh dense
+// matrix's, and candidate_pairs + pruned_pairs accounts for each comparable
+// pair the operation re-verified exactly once. Pruning caps are lifted so
+// the re-verified rows are exactly the schema-dirty sources' attributes.
+TEST(SparseSimilarityTest, RowsAndTalliesMatchDenseOracleAcrossChurn) {
+  DeltaUniverse du(BooksUniverse(30));
+  NGramJaccard measure(3);
+  SparseIndexOptions options;
+  options.max_gram_df = ~size_t{0};
+  options.max_band_bucket = ~size_t{0};
+  SparseSimilarityIndex index(du.universe(), measure, options);
+  ExpectRowsMatchDenseOracle(du.universe(), index, measure);
+  const auto all = [](size_t) { return true; };
+  EXPECT_EQ(index.stats().candidate_pairs + index.stats().pruned_pairs,
+            ComparablePairsTouching(du.universe(), all));
+
+  const Universe extra = BooksUniverse(32, /*seed=*/9);
+  const std::string renamed = du.universe().source(5).name();
+  const std::string retired = du.universe().source(3).name();
+  const std::string recrawled = du.universe().source(8).name();
+  ChurnDelta delta;
+  ASSERT_TRUE(du.ApplyAll({ChurnEvent::RenameAttribute(renamed, 0,
+                                                       "Publication Year"),
+                           ChurnEvent::AddSource(extra.source(30)),
+                           ChurnEvent::AddSource(extra.source(31)),
+                           ChurnEvent::RemoveSource(retired),
+                           ChurnEvent::UpdateTuples(recrawled, {1, 2, 3})},
+                          &delta)
+                  .ok());
+  const std::vector<uint32_t> dirty = delta.DirtySchemaSources();
+  ASSERT_EQ(dirty.size(), 4u);  // the tuple update is not schema churn
+  index.ApplyChurn(du.universe(), measure, dirty);
+  ExpectRowsMatchDenseOracle(du.universe(), index, measure);
+
+  const Universe& u = du.universe();
+  const auto reverified = [&](size_t i) {
+    return std::binary_search(dirty.begin(), dirty.end(),
+                              u.RefFromGlobalIndex(i).source_id);
+  };
+  EXPECT_EQ(index.stats().candidate_pairs + index.stats().pruned_pairs,
+            ComparablePairsTouching(u, reverified));
+  EXPECT_EQ(index.stats().candidate_pairs, index.last_measure_calls());
 }
 
 TEST(SparseSimilarityTest, RetiredSourceRowsEmptyAndAtZero) {

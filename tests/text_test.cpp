@@ -2,6 +2,7 @@
 // property-based), and the precomputed similarity matrix.
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -206,6 +207,14 @@ TEST(CompositeTest, MakeValidates) {
     members.push_back(std::make_unique<NGramJaccard>(3));
     EXPECT_FALSE(
         CompositeSimilarity::Make(std::move(members), {-1.0}).ok());
+  }
+  {
+    std::vector<std::unique_ptr<SimilarityMeasure>> members;
+    members.push_back(std::make_unique<NGramJaccard>(3));
+    EXPECT_FALSE(CompositeSimilarity::Make(
+                     std::move(members),
+                     {std::numeric_limits<double>::quiet_NaN()})
+                     .ok());
   }
 }
 
