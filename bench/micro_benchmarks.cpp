@@ -6,12 +6,14 @@
 //
 // Before the benchmarks run, main() executes the raw-speed GATE: exit-code-
 // enforced speedup bars for the vectorized kernels of sketch/simd.h against
-// the retained reference-scalar mode, with bit-identical-output assertions,
-// writing BENCH_raw_speed.json. `--raw_speed_gate_only` runs just the gate
-// (the CI raw-speed-smoke job). MUBE_BENCH_QUICK=1 scales the bars down for
-// shared runners; a -DMUBE_SIMD=off build verifies bit-identity only (both
-// paths are then the same scalar code, so a speedup bar would be
-// meaningless).
+// the retained reference-scalar mode, and for Match(S)'s θ-pair read on the
+// dense matrix against the row walk it replaced, with bit-identical-output
+// assertions, writing BENCH_raw_speed.json. `--raw_speed_gate_only` runs
+// just the gate (the CI raw-speed-smoke job). MUBE_BENCH_QUICK=1 scales the
+// bars down for shared runners; a -DMUBE_SIMD=off build verifies the SIMD
+// sections' bit-identity only (both paths are then the same scalar code, so
+// a speedup bar would be meaningless). The θ-pair section uses no SIMD
+// kernel, so its bar holds in every build.
 
 #include <benchmark/benchmark.h>
 
@@ -391,6 +393,82 @@ GateSection GramSimilarityGate(bool quick, bool enforce_bars) {
   return section;
 }
 
+/// Match(S)'s θ-pair read: the §7 books workload at |U| = 300 (~1,500
+/// attributes), subsets of 20 random sources (|A_S| ≈ 100) at the paper's
+/// θ = 0.75. Reference = the SimilaritySource base PairsWithin, one full
+/// dense row scan per attribute of S (O(|A_S|·|A_U|) cells through a
+/// callback). Optimized = SimilarityMatrix::PairsWithin, which reads the
+/// |A_S|(|A_S|−1)/2 packed cells directly.
+GateSection MatchThetaPairsGate(bool quick) {
+  GateSection section{"match_theta_pairs"};
+  section.bar = quick ? 3.0 : 10.0;
+
+  GeneratorConfig config;
+  config.num_sources = 300;
+  config.attach_tuples = false;
+  const GeneratedUniverse generated =
+      GenerateUniverse(config).ValueOrDie();
+  const Universe& u = generated.universe;
+  const NGramJaccard jaccard(3);
+  const SimilarityMatrix matrix(u, jaccard);
+
+  const size_t kSubsets = 32;
+  const size_t kSourcesPerSubset = 20;
+  const int reps = quick ? 5 : 20;
+  const double kTheta = 0.75;
+  Rng rng(29);
+  std::vector<std::vector<uint32_t>> subsets(kSubsets);
+  for (std::vector<uint32_t>& attrs : subsets) {
+    std::vector<size_t> sources =
+        rng.SampleWithoutReplacement(u.size(), kSourcesPerSubset);
+    std::sort(sources.begin(), sources.end());
+    for (size_t sid : sources) {
+      const uint32_t id = static_cast<uint32_t>(sid);
+      for (uint32_t a = 0; a < u.source(id).attribute_count(); ++a) {
+        attrs.push_back(
+            static_cast<uint32_t>(u.GlobalAttrIndex(AttributeRef(id, a))));
+      }
+    }
+  }
+
+  const auto run = [&](bool cells, std::vector<std::vector<ThetaEdge>>& out) {
+    return BestMillis(5, [&] {
+      for (int r = 0; r < reps; ++r) {
+        for (size_t t = 0; t < kSubsets; ++t) {
+          out[t].clear();
+          if (cells) {
+            matrix.PairsWithin(subsets[t], kTheta, &out[t]);
+          } else {
+            matrix.SimilaritySource::PairsWithin(subsets[t], kTheta, &out[t]);
+          }
+          benchmark::DoNotOptimize(out[t].data());
+        }
+      }
+    });
+  };
+  std::vector<std::vector<ThetaEdge>> ref_out(kSubsets);
+  std::vector<std::vector<ThetaEdge>> opt_out(kSubsets);
+  section.ref_ms = run(/*cells=*/false, ref_out);
+  section.opt_ms = run(/*cells=*/true, opt_out);
+  section.speedup =
+      section.opt_ms > 0.0 ? section.ref_ms / section.opt_ms : 0.0;
+  section.bit_identical = true;
+  for (size_t t = 0; t < kSubsets; ++t) {
+    const std::vector<ThetaEdge>& ref = ref_out[t];
+    const std::vector<ThetaEdge>& opt = opt_out[t];
+    section.bit_identical =
+        section.bit_identical && ref.size() == opt.size() &&
+        std::equal(ref.begin(), ref.end(), opt.begin(),
+                   [](const ThetaEdge& x, const ThetaEdge& y) {
+                     return x.a == y.a && x.b == y.b &&
+                            std::bit_cast<uint32_t>(x.similarity) ==
+                                std::bit_cast<uint32_t>(y.similarity);
+                   });
+  }
+  section.pass = section.bit_identical && section.speedup >= section.bar;
+  return section;
+}
+
 bool WriteGateJson(const std::vector<GateSection>& sections, bool quick,
                    bool enforce_bars) {
   std::vector<bench::JsonFields> rows;
@@ -427,9 +505,10 @@ int RunRawSpeedGate() {
   std::vector<GateSection> sections;
   sections.push_back(SketchUnionGate(quick, enforce_bars));
   sections.push_back(GramSimilarityGate(quick, enforce_bars));
+  sections.push_back(MatchThetaPairsGate(quick));
   bool all_pass = WriteGateJson(sections, quick, enforce_bars);
   std::printf("raw_speed_gate (%s%s):\n", quick ? "quick" : "full",
-              enforce_bars ? "" : ", MUBE_SIMD=off: bars not enforced");
+              enforce_bars ? "" : ", MUBE_SIMD=off: SIMD bars not enforced");
   for (const GateSection& s : sections) {
     std::printf(
         "  %-24s ref %8.3f ms  opt %8.3f ms  speedup %6.2fx  (bar %.1fx%s)  "

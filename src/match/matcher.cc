@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <queue>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
@@ -88,16 +87,7 @@ std::vector<ThetaEdge> ThetaEdgesWithin(const SimilaritySource& similarity,
                                         const std::vector<uint32_t>& attrs,
                                         double theta) {
   std::vector<ThetaEdge> edges;
-  for (uint32_t a = 0; a < attrs.size(); ++a) {
-    // Rows come in ascending j, so one forward cursor over the sorted
-    // subset meets every later member the row reaches.
-    uint32_t b = a + 1;
-    similarity.ForEachNeighborAtLeast(
-        attrs[a], theta, [&](size_t j, float sim) {
-          while (b < attrs.size() && attrs[b] < j) ++b;
-          if (b < attrs.size() && attrs[b] == j) edges.push_back({a, b, sim});
-        });
-  }
+  similarity.PairsWithin(attrs, theta, &edges);
   return edges;
 }
 
@@ -121,19 +111,27 @@ Result<MatchResult> Matcher::Match(
         "; a sparse index cannot enumerate pairs under its index_theta — "
         "rebuild it with a lower SparseIndexOptions::index_theta");
   }
-  std::unordered_set<uint32_t> in_s;
-  for (uint32_t sid : source_ids) {
-    if (sid >= universe_.size()) {
+  // S sorted: membership is a binary search. Errors are reported at the
+  // first offending position of the caller's order.
+  std::vector<uint32_t> sorted_s = source_ids;
+  std::sort(sorted_s.begin(), sorted_s.end());
+  const bool has_duplicate =
+      std::adjacent_find(sorted_s.begin(), sorted_s.end()) != sorted_s.end();
+  for (auto it = source_ids.begin(); it != source_ids.end(); ++it) {
+    if (*it >= universe_.size()) {
       return Status::InvalidArgument("source id out of range: " +
-                                     std::to_string(sid));
+                                     std::to_string(*it));
     }
-    if (!in_s.insert(sid).second) {
+    if (has_duplicate && std::find(source_ids.begin(), it, *it) != it) {
       return Status::InvalidArgument("duplicate source id in S: " +
-                                     std::to_string(sid));
+                                     std::to_string(*it));
     }
   }
+  const auto in_s = [&](uint32_t sid) {
+    return std::binary_search(sorted_s.begin(), sorted_s.end(), sid);
+  };
   for (uint32_t sid : source_constraints) {
-    if (in_s.count(sid) == 0) {
+    if (!in_s(sid)) {
       return Status::InvalidArgument(
           "source constraint " + std::to_string(sid) +
           " is not in S; callers must ensure C subset-of S");
@@ -148,7 +146,7 @@ Result<MatchResult> Matcher::Match(
         return Status::InvalidArgument("GA constraint references unknown " +
                                        ref.ToString());
       }
-      if (in_s.count(ref.source_id) == 0) {
+      if (!in_s(ref.source_id)) {
         return Status::InvalidArgument(
             "GA constraint references source " +
             std::to_string(ref.source_id) + " outside S");
@@ -156,16 +154,16 @@ Result<MatchResult> Matcher::Match(
     }
   }
 
-  // ---- θ-edges of A_S: the only neighbor enumeration of this call -------
-  // A_S in ascending global index; clusters refer to positions in it.
+  // ---- θ-edges of A_S: the only pair read of this call -----------------
+  // A_S in ascending global index (global indexes ascend with source id),
+  // clusters refer to positions in it.
   std::vector<uint32_t> attrs;
-  for (uint32_t sid : source_ids) {
+  for (uint32_t sid : sorted_s) {
     for (uint32_t a = 0; a < universe_.source(sid).attribute_count(); ++a) {
       attrs.push_back(static_cast<uint32_t>(
           universe_.GlobalAttrIndex(AttributeRef(sid, a))));
     }
   }
-  std::sort(attrs.begin(), attrs.end());
   const auto position = [&](const AttributeRef& ref) {
     const auto it = std::lower_bound(attrs.begin(), attrs.end(),
                                      universe_.GlobalAttrIndex(ref));
@@ -329,7 +327,16 @@ Result<MatchResult> Matcher::Match(
   }
 
   // ---- Feasibility: M must be valid on C (line 24) ------------------------
-  result.feasible = result.schema.IsValidOn(source_constraints);
+  // M is valid and disjoint by construction (Definitions 1-2), so only the
+  // coverage of C is left: every source of C is touched by some GA.
+  result.feasible = std::all_of(
+      source_constraints.begin(), source_constraints.end(), [&](uint32_t sid) {
+        return std::any_of(result.schema.gas().begin(),
+                           result.schema.gas().end(),
+                           [sid](const GlobalAttribute& g) {
+                             return g.TouchesSource(sid);
+                           });
+      });
   if (!result.feasible) {
     return MatchResult{};  // NULL schema, 0 quality
   }

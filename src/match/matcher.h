@@ -17,20 +17,19 @@
 /// The Matcher programs against the SimilaritySource interface, not a
 /// concrete store: small universes hand it the dense SimilarityMatrix,
 /// internet-scale ones the blocked SparseSimilarityIndex (the engine picks;
-/// see MubeConfig::similarity_index). Each Match(S) reads the source's
-/// neighbor rows in one pass: ThetaEdgesWithin enumerates every attribute
-/// of S exactly once and keeps the θ-pairs inside S, and every Algorithm 1
-/// iteration finds its candidate cluster pairs in that edge list instead
-/// of scanning all cluster pairs — identical output (a cluster pair can
-/// only clear θ if some cross pair does, under either linkage). The pass
-/// costs one enumeration per attribute of S, priced by the backend: the
-/// dense matrix reads the full row, O(|A_U|) per attribute and
-/// O(|A_S|·|A_U|) per Match(S); the sparse index walks only each row's
-/// stored neighbors. Each iteration then costs O(|A_S| + |E_S|) for the
-/// E_S θ-pairs inside S, plus the candidate bookkeeping.
-/// Because it enumerates, Match requires θ ≥
-/// SimilaritySource::neighbor_floor() and rejects lower thresholds, which
-/// the dense matrix (floor 0) never triggers.
+/// see MubeConfig::similarity_index). Each Match(S) reads the similarity
+/// source once: ThetaEdgesWithin asks SimilaritySource::PairsWithin for
+/// the θ-pairs inside A_S, and every Algorithm 1 iteration finds its
+/// candidate cluster pairs in that edge list instead of scanning all
+/// cluster pairs — identical output (a cluster pair can only clear θ if
+/// some cross pair does, under either linkage). The read is priced by the
+/// backend and depends on A_S, not on the universe: the dense matrix reads
+/// |A_S|(|A_S|−1)/2 packed cells; the sparse index walks the stored rows
+/// of A_S. Each iteration then costs O(|A_S| + |E_S|) for the E_S θ-pairs
+/// inside S, plus the candidate bookkeeping.
+/// PairsWithin is complete only at or above the source's floor, so Match
+/// requires θ ≥ SimilaritySource::neighbor_floor() and rejects lower
+/// thresholds, which the dense matrix (floor 0) never triggers.
 ///
 /// Properties guaranteed by construction (and asserted by the test suite):
 ///  - every emitted GA is valid (≤ 1 attribute per source, Definition 1);
@@ -92,19 +91,10 @@ struct MatchResult {
   std::vector<double> ga_quality;
 };
 
-/// \brief A pair of attributes of a subset whose similarity clears θ.
-struct ThetaEdge {
-  uint32_t a;  ///< position in the caller's attribute vector; a < b
-  uint32_t b;
-  float similarity;  ///< as stored by the SimilaritySource
-};
-
 /// The θ-graph of an attribute subset: every pair of `attrs` (global
 /// attribute indexes, strictly ascending) with similarity ≥ theta, each
-/// once, in ascending (a, b) order. Calls
-/// similarity.ForEachNeighborAtLeast exactly once per element of `attrs`
-/// and nothing else; a pair is read from the row of its smaller index.
-/// Complete when theta ≥ similarity.neighbor_floor().
+/// once, in ascending (a, b) order. One similarity.PairsWithin call and
+/// nothing else. Complete when theta ≥ similarity.neighbor_floor().
 std::vector<ThetaEdge> ThetaEdgesWithin(const SimilaritySource& similarity,
                                         const std::vector<uint32_t>& attrs,
                                         double theta);
@@ -135,8 +125,9 @@ class Matcher {
   /// an error (see MatchResult::feasible).
   ///
   /// Similarity reads: neighbor_floor() once, first; then, for a valid
-  /// input, one ForEachNeighborAtLeast per attribute of S and none for
-  /// other attributes; then At() reads for average linkage and GA quality.
+  /// input, one PairsWithin over A_S (the base implementation walks one
+  /// row per attribute of S and none for other attributes); then At()
+  /// reads for average linkage and GA quality.
   Result<MatchResult> Match(const std::vector<uint32_t>& source_ids,
                             const MatchOptions& options,
                             const std::vector<uint32_t>& source_constraints,

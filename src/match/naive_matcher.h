@@ -44,7 +44,7 @@ struct NaiveMatchResult {
 /// components, output in order of each component's smallest global
 /// attribute index. Works against any SimilaritySource: when theta ≥ the
 /// source's neighbor_floor() the edges come from ThetaEdgesWithin (see
-/// matcher.h), one neighbor enumeration per attribute of S; below the
+/// matcher.h), one PairsWithin read of A_S; below the
 /// floor it falls back to exhaustive At() pairs, O(|A_S|²), which stays
 /// exact on every implementation.
 NaiveMatchResult NaiveComponentsMatch(const Universe& universe,

@@ -20,10 +20,12 @@ Universe Universe::Clone() const {
 uint32_t Universe::AddSource(Source source) {
   const uint32_t id = static_cast<uint32_t>(sources_.size());
   source.id_ = id;
+  attr_offsets_.push_back(total_attrs_);
+  total_attrs_ += source.attribute_count();
+  total_cardinality_ += source.cardinality();
   sources_.push_back(std::move(source));
   alive_.push_back(true);
   ++alive_count_;
-  RebuildIndex();
   return id;
 }
 
@@ -35,11 +37,11 @@ void Universe::RetireSource(uint32_t id) {
   // Shed the data: a retired source contributes no tuples and no
   // cardinality; only the schema stays, to keep attribute indexes stable.
   Source& s = sources_[id];
+  total_cardinality_ -= s.cardinality();
   s.tuples_.clear();
   s.tuples_.shrink_to_fit();
   s.has_tuples_ = false;
   s.cardinality_ = 0;
-  RebuildIndex();
 }
 
 std::vector<uint32_t> Universe::AliveSourceIds() const {

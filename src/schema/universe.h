@@ -48,21 +48,24 @@ class Universe {
   Universe Clone() const;
 
   /// Adds a source and assigns it the next dense id (overwriting any id the
-  /// caller set). Returns the assigned id. Sources should be fully built
+  /// caller set). Returns the assigned id. O(1): appends one attribute
+  /// offset and adds to the totals. Sources should be fully built
   /// (attributes + tuples) before insertion; if one is mutated afterwards
   /// via mutable_source(), call RefreshStatistics() to rebuild the attribute
   /// index and cardinality totals.
   uint32_t AddSource(Source source);
 
-  /// Recomputes the global attribute index and total cardinality after
-  /// in-place mutation of sources.
+  /// Recomputes the global attribute index and total cardinality from
+  /// scratch after in-place mutation of sources.
   void RefreshStatistics() { RebuildIndex(); }
 
   /// Marks a source as removed from the universe. Its slot (id, attribute
   /// index range) survives as a tombstone so derived per-attribute state
   /// stays valid, but the source stops shipping tuples, counts for nothing
   /// in the cardinality totals, and must never appear in a solution.
-  /// Retiring an already-retired source is a no-op.
+  /// Retiring an already-retired source is a no-op. O(1): the retired
+  /// source's cardinality leaves the total; the attribute index is
+  /// unchanged.
   void RetireSource(uint32_t id);
 
   /// False iff the source was retired. Out-of-range ids are not alive.

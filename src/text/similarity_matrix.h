@@ -92,25 +92,26 @@ class SimilarityMatrix : public SimilaritySource {
 
   size_t attribute_count() const override { return n_; }
 
-  /// Largest similarity between attribute i and *any* other attribute.
-  /// No matcher reads it (Algorithm 1 finds its candidates through
-  /// ForEachNeighborAtLeast); it is kept for the SimilaritySource
-  /// interface and for the tests that compare builds row by row.
-  double MaxSimilarityOf(size_t i) const override { return row_max_[i]; }
-
   /// Full-row scan: every j with At(i, j) >= theta, ascending. Complete at
   /// any theta (the matrix holds every pair), hence a floor of 0.
   void ForEachNeighborAtLeast(size_t i, double theta,
                               const NeighborFn& fn) const override;
   double neighbor_floor() const override { return 0.0; }
 
+  /// Direct packed-cell reads: for each attrs[a], the row's base offset
+  /// once, then one cell per later element — |attrs|(|attrs|−1)/2 reads,
+  /// no row scan and no callback. Same `double(cell) >= theta` test as the
+  /// row scan, so the edges equal the base row walk bitwise at every
+  /// theta (at 0, zero and same-source pairs included).
+  void PairsWithin(const std::vector<uint32_t>& attrs, double theta,
+                   std::vector<ThetaEdge>* out) const override;
+
   std::unique_ptr<SimilaritySource> CloneSource() const override {
     return std::make_unique<SimilarityMatrix>(*this);
   }
 
   size_t MemoryBytes() const override {
-    return values_.capacity() * sizeof(float) +
-           row_max_.capacity() * sizeof(float);
+    return values_.capacity() * sizeof(float);
   }
 
   /// Measure evaluations performed by the last (re)build or churn
@@ -134,7 +135,6 @@ class SimilarityMatrix : public SimilaritySource {
 
   size_t n_ = 0;
   std::vector<float> values_;
-  std::vector<float> row_max_;
   size_t last_measure_calls_ = 0;
 };
 

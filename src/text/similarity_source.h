@@ -31,6 +31,13 @@ namespace mube {
 
 class Universe;
 
+/// \brief A pair of attributes of a subset whose similarity clears θ.
+struct ThetaEdge {
+  uint32_t a;  ///< position in the caller's attribute vector; a < b
+  uint32_t b;
+  float similarity;  ///< as stored by the SimilaritySource
+};
+
 /// \brief Pairwise attribute-similarity store over a universe's dense
 /// global attribute indexes, plus threshold-neighbor enumeration.
 ///
@@ -55,8 +62,10 @@ class SimilaritySource {
 
   /// Largest similarity between attribute i and any other attribute —
   /// for the sparse index, the largest *stored* similarity (exact whenever
-  /// the true maximum is ≥ neighbor_floor(), else 0).
-  virtual double MaxSimilarityOf(size_t i) const = 0;
+  /// the true maximum is ≥ neighbor_floor(), else 0). No matcher reads it;
+  /// the base walks row i at neighbor_floor() (0 for an empty row), and
+  /// both backends inherit that walk.
+  virtual double MaxSimilarityOf(size_t i) const;
 
   /// Callback for ForEachNeighborAtLeast: (global attribute index j,
   /// similarity as the stored float).
@@ -71,13 +80,27 @@ class SimilaritySource {
   /// callbacks: the dense matrix reads the whole row, O(attribute_count())
   /// per call at any theta; the sparse index walks only row i's stored
   /// neighbors. Neighbors anywhere in the universe are reported; a caller
-  /// interested in a subset filters them itself. ThetaEdgesWithin
-  /// (match/matcher.h) is that filter for both matchers: it enumerates
-  /// each attribute of S once per Match(S) and keeps the pairs inside S,
-  /// so a row is paid for once per call, not once per clustering
-  /// iteration.
+  /// interested in a subset asks PairsWithin instead.
   virtual void ForEachNeighborAtLeast(size_t i, double theta,
                                       const NeighborFn& fn) const = 0;
+
+  /// Appends to `out` every pair of `attrs` (global attribute indexes,
+  /// strictly ascending) with At() >= theta: each pair once, as positions
+  /// a < b into `attrs` plus the stored float, in ascending (a, b) order.
+  /// Complete when theta >= neighbor_floor(). This is the one read of
+  /// Match(S) (ThetaEdgesWithin in match/matcher.h), so its cost is the
+  /// cost of a Match:
+  ///
+  ///  - the base walks row attrs[a] once per element with
+  ///    ForEachNeighborAtLeast and a forward cursor over the later
+  ///    elements (rows are ascending j; a pair is read from the row of
+  ///    its smaller index). The sparse index inherits it: it walks the
+  ///    stored rows of the subset only.
+  ///  - the dense matrix overrides it with direct packed-cell reads,
+  ///    |attrs|(|attrs|−1)/2 cells and no row scan, bitwise identical to
+  ///    the base at every theta.
+  virtual void PairsWithin(const std::vector<uint32_t>& attrs, double theta,
+                           std::vector<ThetaEdge>* out) const;
 
   /// Smallest theta for which neighbor enumeration is complete: 0 for the
   /// dense matrix, the build-time θ_index for the sparse index. Callers

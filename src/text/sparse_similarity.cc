@@ -92,7 +92,6 @@ size_t SparseSimilarityIndex::MemoryBytes() const {
                  row_offsets_.capacity() * sizeof(size_t) +
                  nbr_attr_.capacity() * sizeof(uint32_t) +
                  nbr_sim_.capacity() * sizeof(float) +
-                 row_max_.capacity() * sizeof(float) +
                  source_of_.capacity() * sizeof(uint32_t) +
                  live_.capacity() * sizeof(char);
   bytes += tokens_.capacity() * sizeof(std::vector<uint64_t>);
@@ -297,15 +296,11 @@ void SparseSimilarityIndex::AssembleRows(
   nbr_sim_.clear();
   nbr_attr_.reserve(total);
   nbr_sim_.reserve(total);
-  row_max_.assign(n_, 0.0f);
-  for (size_t i = 0; i < n_; ++i) {
-    float mx = 0.0f;
-    for (const RowEntry& e : rows[i]) {
+  for (const std::vector<RowEntry>& row : rows) {
+    for (const RowEntry& e : row) {
       nbr_attr_.push_back(e.attr);
       nbr_sim_.push_back(e.sim);
-      mx = std::max(mx, e.sim);
     }
-    row_max_[i] = mx;
   }
   stats_.stored_pairs = total / 2;
 }

@@ -140,13 +140,6 @@ class SparseSimilarityIndex : public SimilaritySource {
 
   size_t attribute_count() const override { return n_; }
 
-  /// Largest *stored* similarity of row i — equal to the true maximum
-  /// whenever that maximum is ≥ index_theta and the pair was candidate-
-  /// covered; 0 for rows with no stored neighbor.
-  double MaxSimilarityOf(size_t i) const override {
-    return row_max_[i];
-  }
-
   /// Walks row i's stored neighbors (ascending id). Complete for theta ≥
   /// neighbor_floor() up to candidate recall (the bench-enforced ≥ 0.999).
   /// Rows are symmetric: j is in row i iff i is in row j, with one float.
@@ -215,7 +208,7 @@ class SparseSimilarityIndex : public SimilaritySource {
                                   uint64_t& measure_calls) const;
 
   /// Replaces the CSR rows from per-row entry lists and recomputes
-  /// row_max_ and stats_.stored_pairs.
+  /// stats_.stored_pairs.
   void AssembleRows(const std::vector<std::vector<RowEntry>>& rows);
 
   SparseIndexOptions options_;
@@ -245,7 +238,6 @@ class SparseSimilarityIndex : public SimilaritySource {
   std::vector<size_t> row_offsets_;
   std::vector<uint32_t> nbr_attr_;
   std::vector<float> nbr_sim_;
-  std::vector<float> row_max_;
 
   size_t last_measure_calls_ = 0;
   SparseIndexStats stats_;

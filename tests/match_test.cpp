@@ -5,6 +5,7 @@
 // oracle, and the similarity-read budget of one Match(S).
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <memory>
 #include <string>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "datagen/generator.h"
 #include "match/matcher.h"
 #include "match/naive_matcher.h"
 #include "schema/universe.h"
@@ -734,6 +736,168 @@ TEST(ThetaEdgesTest, EachPairInsideTheSubsetOnce) {
   }
 }
 
+// --------------------------------------------------------- pair contract --
+
+// The Figure 5 books workload at |U| = 300 (~1,500 attributes; names only),
+// with the dense matrix and a sparse index whose blocking is lossless
+// (no gram-df or bucket cap), so every stored row is complete above its
+// floor and the oracle comparison tests the pair walk, not recall.
+struct Fig5PairFixture {
+  static GeneratorConfig Config() {
+    GeneratorConfig config;
+    config.num_sources = 300;
+    config.attach_tuples = false;
+    return config;
+  }
+  static SparseIndexOptions Lossless() {
+    SparseIndexOptions options;
+    options.index_theta = 0.3;
+    options.max_gram_df = ~size_t{0};
+    options.max_band_bucket = ~size_t{0};
+    return options;
+  }
+
+  Fig5PairFixture()
+      : generated(GenerateUniverse(Config()).ValueOrDie()),
+        measure(3),
+        matrix(generated.universe, measure),
+        sparse(generated.universe, measure, Lossless()) {}
+
+  // Random strictly ascending subsets of the universe's attributes: the
+  // attributes of whole random sources (Match's A_S shape) and scattered
+  // single attributes.
+  std::vector<std::vector<uint32_t>> Subsets(Rng* rng) const {
+    const Universe& u = generated.universe;
+    std::vector<std::vector<uint32_t>> subsets;
+    for (const double p : {0.05, 0.3}) {
+      std::vector<uint32_t> attrs;
+      for (uint32_t sid = 0; sid < u.size(); ++sid) {
+        if (!rng->Bernoulli(p)) continue;
+        for (uint32_t a = 0; a < u.source(sid).attribute_count(); ++a) {
+          attrs.push_back(
+              static_cast<uint32_t>(u.GlobalAttrIndex(AttributeRef(sid, a))));
+        }
+      }
+      subsets.push_back(std::move(attrs));
+    }
+    std::vector<uint32_t> scattered;
+    for (uint32_t i = 0; i < u.total_attribute_count(); ++i) {
+      if (rng->Bernoulli(0.1)) scattered.push_back(i);
+    }
+    subsets.push_back(std::move(scattered));
+    return subsets;
+  }
+
+  GeneratedUniverse generated;
+  NGramJaccard measure;
+  SimilarityMatrix matrix;
+  SparseSimilarityIndex sparse;
+};
+
+// Every pair of `attrs` with At() >= theta, in ascending (a, b) order.
+std::vector<ThetaEdge> PairsByAt(const SimilaritySource& sim,
+                                 const std::vector<uint32_t>& attrs,
+                                 double theta) {
+  std::vector<ThetaEdge> pairs;
+  for (uint32_t a = 0; a < attrs.size(); ++a) {
+    for (uint32_t b = a + 1; b < attrs.size(); ++b) {
+      const double s = sim.At(attrs[a], attrs[b]);
+      if (s >= theta) pairs.push_back({a, b, static_cast<float>(s)});
+    }
+  }
+  return pairs;
+}
+
+void ExpectSameEdges(const std::vector<ThetaEdge>& have,
+                     const std::vector<ThetaEdge>& want,
+                     const std::string& what) {
+  ASSERT_EQ(have.size(), want.size()) << what;
+  for (size_t k = 0; k < have.size(); ++k) {
+    ASSERT_EQ(have[k].a, want[k].a) << what << " edge " << k;
+    ASSERT_EQ(have[k].b, want[k].b) << what << " edge " << k;
+    ASSERT_EQ(std::bit_cast<uint32_t>(have[k].similarity),
+              std::bit_cast<uint32_t>(want[k].similarity))
+        << what << " edge " << k;
+  }
+}
+
+constexpr double kPairThetas[] = {0.0, 0.3, 0.75, 1.0};
+
+TEST(PairsWithinTest, DenseCellsEqualRowWalkAndOracle) {
+  const Fig5PairFixture f;
+  Rng rng(5);
+  for (int trial = 0; trial < 3; ++trial) {
+    for (const std::vector<uint32_t>& attrs : f.Subsets(&rng)) {
+      for (const double theta : kPairThetas) {
+        const std::string what = "trial " + std::to_string(trial) + " |A|=" +
+                                 std::to_string(attrs.size()) + " theta " +
+                                 std::to_string(theta);
+        std::vector<ThetaEdge> cells;
+        f.matrix.PairsWithin(attrs, theta, &cells);
+        std::vector<ThetaEdge> walk;
+        f.matrix.SimilaritySource::PairsWithin(attrs, theta, &walk);
+        ExpectSameEdges(cells, walk, "dense cells vs row walk, " + what);
+        ExpectSameEdges(cells, PairsByAt(f.matrix, attrs, theta),
+                        "dense cells vs At(), " + what);
+        if (theta > 0.0) {
+          ASSERT_LT(cells.size(), attrs.size() * (attrs.size() - 1) / 2)
+              << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(PairsWithinTest, SparseRowWalkEqualsOracleAboveFloor) {
+  const Fig5PairFixture f;
+  Rng rng(6);
+  size_t checked = 0;
+  for (const std::vector<uint32_t>& attrs : f.Subsets(&rng)) {
+    for (const double theta : kPairThetas) {
+      if (theta < f.sparse.neighbor_floor()) continue;
+      const std::string what = "|A|=" + std::to_string(attrs.size()) +
+                               " theta " + std::to_string(theta);
+      std::vector<ThetaEdge> walk;
+      f.sparse.PairsWithin(attrs, theta, &walk);
+      ExpectSameEdges(walk, PairsByAt(f.sparse, attrs, theta),
+                      "sparse vs At(), " + what);
+      std::vector<ThetaEdge> cells;
+      f.matrix.PairsWithin(attrs, theta, &cells);
+      ExpectSameEdges(walk, cells, "sparse vs dense cells, " + what);
+      checked += walk.size();
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+// At θ = 0 every pair clears the threshold, the zero-similarity ones and
+// the same-source ones included, exactly as the row walk reports them.
+TEST(PairsWithinTest, ThetaZeroReportsEveryPairIncludingSameSource) {
+  const Fig5PairFixture f;
+  const Universe& u = f.generated.universe;
+  uint32_t sid = 1;  // a source past the first, with two attributes
+  while (u.source(sid).attribute_count() < 2) ++sid;
+  const uint32_t first =
+      static_cast<uint32_t>(u.GlobalAttrIndex(AttributeRef(sid, 0)));
+  const std::vector<uint32_t> attrs = {0, first, first + 1,
+                                       static_cast<uint32_t>(
+                                           u.total_attribute_count() - 1)};
+  ASSERT_TRUE(std::is_sorted(attrs.begin(), attrs.end()));
+  ASSERT_EQ(std::adjacent_find(attrs.begin(), attrs.end()), attrs.end());
+  std::vector<ThetaEdge> cells;
+  f.matrix.PairsWithin(attrs, 0.0, &cells);
+  std::vector<ThetaEdge> walk;
+  f.matrix.SimilaritySource::PairsWithin(attrs, 0.0, &walk);
+  ExpectSameEdges(cells, walk, "theta 0");
+  ASSERT_EQ(cells.size(), 6u);
+  const auto same_source = std::find_if(
+      cells.begin(), cells.end(), [](const ThetaEdge& e) {
+        return e.a == 1 && e.b == 2;
+      });
+  ASSERT_NE(same_source, cells.end());
+  EXPECT_EQ(same_source->similarity, 0.0f);
+}
+
 // ------------------------------------------------------ similarity reads --
 
 // Forwards every query to `inner` and counts neighbor_floor() calls and
@@ -824,6 +988,52 @@ TEST(MatchReadBudgetTest, OneEnumerationPerAttributeOfS) {
     EXPECT_EQ(r.counting.floor_calls, 1);
     EXPECT_EQ(r.counting.enumerations, r.once);
   }
+}
+
+// CountingSource that forwards PairsWithin to the dense matrix's packed
+// cells instead of inheriting the row walk, and counts those calls.
+class PairCountingSource : public CountingSource {
+ public:
+  explicit PairCountingSource(const SimilarityMatrix& matrix)
+      : CountingSource(matrix), matrix_(matrix) {}
+
+  void PairsWithin(const std::vector<uint32_t>& attrs, double theta,
+                   std::vector<ThetaEdge>* out) const override {
+    ++pair_calls;
+    matrix_.PairsWithin(attrs, theta, out);
+  }
+
+  mutable int pair_calls = 0;
+
+ private:
+  const SimilarityMatrix& matrix_;
+};
+
+TEST(MatchReadBudgetTest, DenseMatchReadsPairsOnceAndNoRows) {
+  ReadBudgetFixture r;
+  PairCountingSource pairs(r.f.matrix);
+  const Matcher matcher(r.f.universe, pairs);
+  for (const ClusterLinkage linkage :
+       {ClusterLinkage::kMax, ClusterLinkage::kAverage}) {
+    MatchOptions options = Options(0.8);
+    options.linkage = linkage;
+    pairs.Reset();
+    pairs.pair_calls = 0;
+    auto result = matcher.Match(r.s, options);
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result.ValueOrDie().schema.size(), 1u);
+    EXPECT_EQ(result.ValueOrDie().schema.ga(0).size(), 4u);
+    EXPECT_EQ(pairs.floor_calls, 1);
+    EXPECT_EQ(pairs.pair_calls, 1);
+    EXPECT_TRUE(pairs.enumerations.empty());
+  }
+  pairs.Reset();
+  pairs.pair_calls = 0;
+  const NaiveMatchResult naive =
+      NaiveComponentsMatch(r.f.universe, pairs, r.s, 0.8);
+  ASSERT_EQ(naive.schema.size(), 1u);
+  EXPECT_EQ(pairs.pair_calls, 1);
+  EXPECT_TRUE(pairs.enumerations.empty());
 }
 
 TEST(MatchReadBudgetTest, NaiveMatcherSharesTheBudget) {

@@ -158,6 +158,59 @@ TEST(UniverseTest, RefreshStatisticsAfterMutation) {
   EXPECT_EQ(u.total_cardinality(), 3u + 2u + 100u);
 }
 
+// AddSource and RetireSource keep the index and totals incrementally; after
+// every step they must equal a from-scratch RefreshStatistics().
+TEST(UniverseTest, IncrementalStatisticsMatchRefresh) {
+  Rng rng(11);
+  Universe u;
+  auto expect_fresh = [&](int step) {
+    Universe fresh = u.Clone();
+    fresh.RefreshStatistics();
+    ASSERT_EQ(u.total_attribute_count(), fresh.total_attribute_count())
+        << "step " << step;
+    ASSERT_EQ(u.total_cardinality(), fresh.total_cardinality())
+        << "step " << step;
+    for (uint32_t sid = 0; sid < u.size(); ++sid) {
+      for (uint32_t a = 0; a < u.source(sid).attribute_count(); ++a) {
+        ASSERT_EQ(u.GlobalAttrIndex(AttributeRef(sid, a)),
+                  fresh.GlobalAttrIndex(AttributeRef(sid, a)))
+            << "step " << step;
+      }
+    }
+    for (size_t g = 0; g < u.total_attribute_count(); ++g) {
+      ASSERT_EQ(u.RefFromGlobalIndex(g), fresh.RefFromGlobalIndex(g))
+          << "step " << step;
+    }
+  };
+  auto tuples = [&] {
+    std::vector<uint64_t> ids(rng.Uniform(50));
+    for (uint64_t& id : ids) id = rng.Uniform(1000);
+    return ids;
+  };
+  for (int step = 0; step < 300; ++step) {
+    const uint64_t op = u.empty() ? 0 : rng.Uniform(3);
+    if (op == 0) {
+      Source s(0, "s" + std::to_string(step));
+      const uint64_t attrs = rng.Uniform(4);  // zero-attribute sources too
+      for (uint64_t a = 0; a < attrs; ++a) {
+        s.AddAttribute(Attribute("a" + std::to_string(a),
+                                 static_cast<int32_t>(a)));
+      }
+      s.SetTuples(tuples());
+      u.AddSource(std::move(s));
+    } else if (op == 1) {
+      u.RetireSource(static_cast<uint32_t>(rng.Uniform(u.size())));
+    } else {
+      const uint32_t sid = static_cast<uint32_t>(rng.Uniform(u.size()));
+      if (!u.alive(sid)) continue;
+      u.mutable_source(sid).SetTuples(tuples());
+      u.RefreshStatistics();
+    }
+    expect_fresh(step);
+  }
+  EXPECT_LT(u.alive_count(), u.size());  // the sequence did retire sources
+}
+
 // -------------------------------------------------- GlobalAttribute (Def 1)
 
 TEST(GlobalAttributeTest, EmptyIsInvalid) {
